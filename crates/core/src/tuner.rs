@@ -242,93 +242,30 @@ impl RankingPool {
     }
 }
 
-/// Commit/discard accounting for the speculative suggest-ahead pipeline
-/// (see [`Tuner::run_batch_pipelined`]). `picks_adopted` counts individual
-/// speculative picks that matched the serial decision — a discarded batch
-/// can still have a matched prefix — while `sweeps_skipped` counts the
-/// subset whose decision inputs replayed bit-identically, letting
-/// validation adopt the pick without re-running the selection sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipelineStats {
-    /// Speculative batches whose validation ran.
-    pub attempted: u64,
-    /// Batches committed whole (every pick matched the serial choice).
-    pub committed: u64,
-    /// Batches with at least one divergent pick, recomputed serially.
-    pub discarded: u64,
-    /// Individual picks the speculation predicted correctly (the matched
-    /// prefix of each validated batch).
-    pub picks_adopted: u64,
-    /// Picks whose score tables replayed bit-identically, skipping the
-    /// selection sweep entirely (a subset of `picks_adopted`).
-    pub sweeps_skipped: u64,
-    /// Wall time batch drivers spent producing model-driven suggestions
-    /// on the critical path (while no evaluation was in flight). The
-    /// serial driver accumulates every suggestion here; the pipelined one
-    /// only the unavoidable first round plus the validation replays —
-    /// speculation time hidden behind evaluation is *not* included, so
-    /// the gap between the two drivers' values is the pipeline's win.
-    pub critical_path_suggest_ns: u64,
-}
+/// History plus the constant-liar fantasies of one from-scratch batch
+/// suggestion. Pick 0 fits on the history slices directly; the copy is made
+/// only when the first fantasy is pushed, so a batch of one never clones
+/// the history.
+#[derive(Default)]
+struct FantasyTables(Option<(Vec<Configuration>, Vec<f64>)>);
 
-impl PipelineStats {
-    /// Fraction of attempted speculations committed whole, `None` before
-    /// the first attempt.
-    pub fn hit_rate(&self) -> Option<f64> {
-        (self.attempted > 0).then(|| self.committed as f64 / self.attempted as f64)
+impl FantasyTables {
+    /// The observations the next fit runs on.
+    fn view<'a>(&'a self, history: &'a ObservationHistory) -> (&'a [Configuration], &'a [f64]) {
+        match &self.0 {
+            Some((configs, objectives)) => (configs, objectives),
+            None => (history.configs(), history.objectives()),
+        }
     }
-}
 
-/// A pre-computed batch-`k+1` decision under the **Ranking** strategy:
-/// the seen-mask the speculation started from plus, per pick, the score
-/// tables it saw (the exact argmax inputs) and the position it chose.
-/// Validation replays the real post-merge decision inputs and adopts a
-/// pick iff its tables replay bit-identically.
-struct RankingSpec {
-    /// Batch size the speculation planned for.
-    k: usize,
-    /// Pool seen-mask at speculation stage 0: pre-merge seen plus the
-    /// in-flight batch. Must equal the real post-merge starting mask for
-    /// any pick to be adopted.
-    start_seen: PoolMask,
-    stages: Vec<RankingSpecStage>,
-}
-
-struct RankingSpecStage {
-    /// Chosen pool position.
-    pick_pos: u32,
-    /// Per-parameter score columns the argmax ran over, snapshotted.
-    tables: Vec<Vec<f64>>,
-}
-
-/// A pre-computed batch-`k+1` pick list under the **Proposal** strategy,
-/// drawn from a *cloned* RNG cursor. Validation recomputes the batch on
-/// the real RNG (KDE sampling makes cheap input-replay impossible), so
-/// the comparison only feeds the hit-rate accounting — bit-identity is
-/// inherited from the recomputation itself.
-struct ProposalSpec {
-    /// Batch size the speculation planned for.
-    k: usize,
-    picks: Vec<Configuration>,
-}
-
-/// A speculative next batch produced while the current one evaluates.
-enum Speculation {
-    Ranking(RankingSpec),
-    Proposal(ProposalSpec),
-}
-
-/// Bitwise comparison of live engine score tables against a speculation
-/// snapshot. `to_bits` equality is NaN-safe and exactly the "identical
-/// decision inputs" contract: equal bits imply the same argmax.
-fn tables_match(real: &[&[f64]], snapshot: &[Vec<f64>]) -> bool {
-    real.len() == snapshot.len()
-        && real.iter().zip(snapshot).all(|(r, s)| {
-            r.len() == s.len()
-                && r.iter()
-                    .zip(s.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-        })
+    /// Appends a fantasy observation, copying the history on first use.
+    fn push(&mut self, history: &ObservationHistory, cfg: Configuration, y: f64) {
+        let (configs, objectives) = self
+            .0
+            .get_or_insert_with(|| (history.configs().to_vec(), history.objectives().to_vec()));
+        configs.push(cfg);
+        objectives.push(y);
+    }
 }
 
 /// The HiPerBOt tuner.
@@ -383,14 +320,6 @@ pub struct Tuner {
     /// Set by the resume constructors ("snapshot" or "trace"); consumed by
     /// the first traced run header to emit one `RunResumed` event.
     resumed_from: Option<String>,
-    /// The constant-liar value of the most recent batch suggestion (the
-    /// pre-batch good-threshold). The speculation task lies at this value
-    /// for the in-flight batch — exactly what the serial path would have
-    /// used — and `None` (before any model-driven batch) disables
-    /// speculation for the round.
-    last_liar: Option<f64>,
-    /// Commit/discard accounting for the pipelined driver.
-    pipeline_stats: PipelineStats,
 }
 
 impl Tuner {
@@ -431,8 +360,6 @@ impl Tuner {
             boot_word_pos: None,
             preserve_stalls_once: false,
             resumed_from: None,
-            last_liar: None,
-            pipeline_stats: PipelineStats::default(),
         }
     }
 
@@ -481,13 +408,6 @@ impl Tuner {
         self.engine.as_ref().map(|e| e.stats())
     }
 
-    /// Speculation commit/discard counters accumulated by
-    /// [`run_batch_pipelined`](Self::run_batch_pipelined). All zeros for
-    /// serial/unpipelined runs.
-    pub fn pipeline_stats(&self) -> PipelineStats {
-        self.pipeline_stats
-    }
-
     /// The run header a trace of this tuner would carry.
     pub fn run_header(&self) -> RunHeader {
         RunHeader::new(&self.space, self.options.seed, self.options.summary())
@@ -528,14 +448,15 @@ impl Tuner {
     /// bootstrap draw: the bootstrap samples are drawn all at once, so a
     /// resume redraws the identical list and skips the evaluated prefix.
     pub fn checkpoint(&self) -> TunerCheckpoint {
-        // Snapshots happen only at safe points: the engine must mirror (or
-        // lag) the real history — a speculative fantasy observation leaking
-        // into checkpoint bytes would poison every resumed continuation.
+        // Snapshots happen only at safe points, never inside a batch
+        // suggestion: the engine must mirror (or lag) the real history — a
+        // constant-liar fantasy leaking into checkpoint bytes would poison
+        // every resumed continuation.
         debug_assert!(
             self.engine
                 .as_ref()
                 .is_none_or(|e| e.len() <= self.history.len()),
-            "checkpoint taken mid-speculation: engine holds fantasy observations"
+            "checkpoint taken while the engine holds constant-liar fantasies"
         );
         let rng_word_pos = if self.bootstrapped {
             self.rng.word_pos()
@@ -768,23 +689,6 @@ impl Tuner {
         }
     }
 
-    /// From-scratch surrogate fit over the current history, reusing the
-    /// tuner's scratch buffers and failure cache (no per-fit allocation
-    /// churn beyond the densities themselves).
-    fn fit_surrogate(&mut self) -> TpeSurrogate {
-        self.sync_failed_cache();
-        let opts = self.surrogate_options();
-        TpeSurrogate::fit_with_failures_scratch(
-            &self.space,
-            self.history.configs(),
-            self.history.objectives(),
-            &self.failed_cache,
-            &opts,
-            self.options.prior.as_ref().map(|(p, w)| (p, *w)),
-            &mut self.fit_scratch,
-        )
-    }
-
     /// Whether model-driven suggestions run through the persistent
     /// incremental engine (Ranking strategy only; Proposal mode samples
     /// from the good KDE and keeps the from-scratch fit).
@@ -870,58 +774,6 @@ impl Tuner {
         self.last_churn = stats;
     }
 
-    /// Runs the bootstrap phase if it has not happened yet: evaluates
-    /// `init_samples` distinct uniform random configurations. The count is
-    /// a parameter (not read from `self.options`) so budget-driven clamping
-    /// never mutates the configured options.
-    fn bootstrap(
-        &mut self,
-        objective: &mut impl FnMut(&Configuration) -> EvalOutcome,
-        init_samples: usize,
-    ) {
-        if self.bootstrapped {
-            return;
-        }
-        let n = if self.space.is_fully_discrete() {
-            // Never ask for more distinct samples than exist.
-            let pool_len = self.pool().configs.len();
-            init_samples.min(pool_len)
-        } else {
-            init_samples
-        };
-        // A mid-bootstrap resume restarts here with the RNG at the
-        // pre-draw position and the evaluated prefix already in the
-        // history: redraw the identical sample list and skip that prefix.
-        let done = self.history.trials();
-        self.boot_word_pos = Some(self.rng.word_pos());
-        let samples = match self.options.init_design {
-            InitDesign::UniformRandom => sample_distinct(&self.space, n, &mut self.rng),
-            InitDesign::LatinHypercube => latin_hypercube(&self.space, n, &mut self.rng),
-        };
-        for cfg in samples.into_iter().skip(done) {
-            self.evaluate_and_push(cfg, &mut *objective, true);
-        }
-        self.bootstrapped = true;
-    }
-
-    /// Evaluates `objective` on `cfg` and appends either the observation or
-    /// the failure record, tracing when a recorder is attached. Returns
-    /// whether the evaluation succeeded. The untraced success path is
-    /// byte-for-byte the old `history.push(cfg, objective(&cfg))`.
-    fn evaluate_and_push(
-        &mut self,
-        cfg: Configuration,
-        objective: &mut impl FnMut(&Configuration) -> EvalOutcome,
-        bootstrap: bool,
-    ) -> bool {
-        let traced = self.recorder.enabled();
-        let timer = SpanTimer::start(traced);
-        let outcome = objective(&cfg);
-        let ok = self.push_outcome(cfg, outcome, bootstrap, timer.elapsed_ns());
-        self.maybe_checkpoint();
-        ok
-    }
-
     /// Appends one already-evaluated outcome: the observation on success,
     /// the quarantined failure record otherwise. `elapsed_ns` is `Some` iff
     /// the caller traced the evaluation (events are only emitted then).
@@ -975,27 +827,6 @@ impl Tuner {
         }
     }
 
-    /// A configuration to evaluate when the surrogate cannot be fit because
-    /// every trial so far failed: uniform random restarts (deduplicated
-    /// against the history), falling back to a pool scan on small discrete
-    /// spaces where rejection sampling keeps colliding. `None` when the
-    /// whole space has been tried.
-    fn recovery_config(&mut self) -> Option<Configuration> {
-        for _ in 0..64 {
-            let cfg = sample_uniform(&self.space, &mut self.rng);
-            if !self.history.contains(&cfg) {
-                return Some(cfg);
-            }
-        }
-        if self.space.is_fully_discrete() {
-            let pool = self.pool();
-            return (0..pool.configs.len())
-                .find(|&i| !pool.seen.get(i))
-                .map(|i| pool.configs[i].clone());
-        }
-        None
-    }
-
     /// Fits and returns the surrogate for the current history — the object
     /// the parameter-importance analysis (§VI) reads its densities from.
     ///
@@ -1026,120 +857,19 @@ impl Tuner {
         )
     }
 
-    /// Selects the next configuration to evaluate, without evaluating it.
-    /// Returns `None` when a Ranking pool is exhausted.
+    /// Selects the next configuration to evaluate, without evaluating it:
+    /// the first pick of [`suggest_batch(1)`](Self::suggest_batch).
+    ///
+    /// Returns `None` when a Ranking pool is exhausted. Under Proposal it
+    /// returns `None` — and counts a stall — when every draw of every
+    /// redraw round duplicated history.
     ///
     /// # Panics
     /// Panics before bootstrap, or when every trial so far failed (no
     /// observation to fit the surrogate on — the run loops recover from
     /// that state via uniform restarts instead of suggesting).
     pub fn suggest(&mut self) -> Option<Configuration> {
-        assert!(
-            self.bootstrapped,
-            "call run/step first: the surrogate needs bootstrap data"
-        );
-        assert!(
-            !self.history.is_empty(),
-            "no successful observations to fit the surrogate on"
-        );
-        let traced = self.recorder.enabled();
-        let iteration = self.history.trials() as u64;
-        if self.use_incremental() {
-            return self.suggest_ranking_incremental(traced, iteration);
-        }
-        let fit_timer = SpanTimer::start(traced);
-        let surrogate = self.fit_surrogate();
-        if let Some(elapsed_ns) = fit_timer.elapsed_ns() {
-            self.recorder.record(&Event::SurrogateFit {
-                iteration,
-                n_good: surrogate.n_good() as u64,
-                n_bad: surrogate.n_bad() as u64,
-                threshold: surrogate.threshold(),
-                elapsed_ns,
-            });
-        }
-        let select_timer = SpanTimer::start(traced);
-        let (picked, candidates, proposal_score) = match self.options.strategy {
-            SelectionStrategy::Ranking => {
-                let table = surrogate.score_table();
-                let tables = table
-                    .discrete_tables()
-                    .expect("Ranking requires a fully discrete space");
-                let pool = self.pool();
-                let pool_len = pool.configs.len() as u64;
-                let picked = rank_encoded(&tables, &pool.encoding, &pool.seen)
-                    .map(|i| pool.configs[i].clone());
-                (picked, pool_len, None)
-            }
-            SelectionStrategy::Proposal { candidates } => {
-                let pick = select_by_proposal_vectorized(
-                    &surrogate,
-                    &self.space,
-                    &self.history,
-                    None,
-                    candidates,
-                    PROPOSAL_REDRAW_ROUNDS,
-                    &mut self.rng,
-                    &mut self.proposal_scratch,
-                );
-                (Some(pick.config), pick.scored, Some(pick.score))
-            }
-        };
-        if let (Some(elapsed_ns), Some(cfg)) = (select_timer.elapsed_ns(), &picked) {
-            self.recorder.record(&Event::SelectionScored {
-                iteration,
-                candidates,
-                // Proposal already scored every candidate: reuse the
-                // winning score instead of re-walking the densities.
-                best_ei: proposal_score.unwrap_or_else(|| surrogate.log_ei(cfg)),
-                elapsed_ns,
-            });
-        }
-        picked
-    }
-
-    /// The incremental-engine Ranking suggestion: syncs the persistent
-    /// engine (O(churn) per new history entry), then runs the same
-    /// vectorized pool argmax over the engine's delta-maintained score
-    /// columns. Emits the exact `SurrogateFit`/`SelectionScored` events the
-    /// from-scratch path would — same fields, same values (bit-identical by
-    /// the parity contract), timings aside.
-    fn suggest_ranking_incremental(
-        &mut self,
-        traced: bool,
-        iteration: u64,
-    ) -> Option<Configuration> {
-        let fit_timer = SpanTimer::start(traced);
-        self.sync_engine();
-        let engine = self.engine.as_ref().expect("just synced");
-        let (n_good, n_bad, threshold) = (engine.n_good(), engine.n_bad(), engine.threshold());
-        if let Some(elapsed_ns) = fit_timer.elapsed_ns() {
-            self.recorder.record(&Event::SurrogateFit {
-                iteration,
-                n_good: n_good as u64,
-                n_bad: n_bad as u64,
-                threshold,
-                elapsed_ns,
-            });
-        }
-        let select_timer = SpanTimer::start(traced);
-        self.pool();
-        let pool = self.pool.as_ref().expect("just built");
-        let engine = self.engine.as_ref().expect("synced above");
-        let tables = engine
-            .tables()
-            .expect("Ranking requires a fully discrete space");
-        let picked =
-            rank_encoded(&tables, &pool.encoding, &pool.seen).map(|i| pool.configs[i].clone());
-        if let (Some(elapsed_ns), Some(cfg)) = (select_timer.elapsed_ns(), &picked) {
-            self.recorder.record(&Event::SelectionScored {
-                iteration,
-                candidates: pool.configs.len() as u64,
-                best_ei: engine.score(cfg),
-                elapsed_ns,
-            });
-        }
-        picked
+        self.suggest_batch(1).pop()
     }
 
     /// Performs one iteration: bootstrap if needed, otherwise select one
@@ -1148,7 +878,7 @@ impl Tuner {
     ///
     /// With the Proposal strategy a duplicate suggestion (possible by
     /// design: sampling may re-draw a seen configuration) is *not*
-    /// re-evaluated; the iteration is simply skipped.
+    /// re-evaluated; the iteration is skipped and counted as a stall.
     pub fn step(&mut self, mut objective: impl FnMut(&Configuration) -> f64) -> bool {
         self.step_fallible(|cfg| EvalOutcome::from_value(objective(cfg)))
     }
@@ -1161,40 +891,14 @@ impl Tuner {
     /// When every trial so far has failed there is nothing to fit the
     /// surrogate on, so the iteration falls back to a uniform random
     /// restart instead of model-driven selection.
+    ///
+    /// This is [`step_batch_fallible`](Self::step_batch_fallible) with a
+    /// batch of one.
     pub fn step_fallible(
         &mut self,
         mut objective: impl FnMut(&Configuration) -> EvalOutcome,
     ) -> bool {
-        if !self.bootstrapped {
-            let init = self.options.init_samples;
-            self.bootstrap(&mut objective, init);
-            return true;
-        }
-        if self.recorder.enabled() {
-            self.recorder.record(&Event::IterationStart {
-                iteration: self.history.trials() as u64,
-                history_len: self.history.len() as u64,
-            });
-        }
-        if self.history.is_empty() {
-            // All trials failed so far: no surrogate, recover by restart.
-            return match self.recovery_config() {
-                None => false,
-                Some(cfg) => {
-                    self.evaluate_and_push(cfg, &mut objective, false);
-                    true
-                }
-            };
-        }
-        match self.suggest() {
-            None => false,
-            Some(cfg) => {
-                if !self.history.contains(&cfg) {
-                    self.evaluate_and_push(cfg, &mut objective, false);
-                }
-                true
-            }
-        }
+        self.step_batch_fallible(1, |cfgs, _| vec![objective(&cfgs[0])])
     }
 
     /// Suggests `k` configurations to evaluate concurrently, by
@@ -1212,9 +916,10 @@ impl Tuner {
     /// `k` argmax sweeps stay vectorized; only the per-value score tables
     /// are rebuilt per fantasy.
     ///
-    /// With `k == 1` this is exactly [`suggest`](Self::suggest): one fit,
-    /// one argmax, same tie-break (lowest pool index), bit-identical pick.
-    /// Returns fewer than `k` configurations when the pool runs out.
+    /// With `k == 1` this is one fit and one argmax with the lowest pool
+    /// index as tie-break — the serial tuner's decision, since serial
+    /// stepping is the batch of one. Returns fewer than `k` configurations
+    /// when the pool runs out.
     ///
     /// Under the **Proposal** strategy the same constant-liar scheme runs
     /// on the vectorized Proposal selector (see
@@ -1247,18 +952,17 @@ impl Tuner {
         let base_iteration = self.history.trials() as u64;
         let opts = self.surrogate_options();
         let prior = self.options.prior.as_ref().map(|(p, w)| (p, *w));
-        // Scratch tables: real history plus constant-liar fantasies.
-        let mut configs: Vec<Configuration> = self.history.configs().to_vec();
-        let mut objectives: Vec<f64> = self.history.objectives().to_vec();
+        let mut fantasies = FantasyTables::default();
         let mut seen = pool.seen.clone();
         let mut liar = 0.0;
         let mut picks = Vec::with_capacity(k);
         for i in 0..k {
             let fit_timer = SpanTimer::start(traced);
+            let (configs, objectives) = fantasies.view(&self.history);
             let surrogate = TpeSurrogate::fit_with_failures_scratch(
                 &self.space,
-                &configs,
-                &objectives,
+                configs,
+                objectives,
                 &self.failed_cache,
                 &opts,
                 prior,
@@ -1296,13 +1000,9 @@ impl Tuner {
             }
             seen.set(pos);
             if i + 1 < k {
-                configs.push(cfg.clone());
-                objectives.push(liar);
+                fantasies.push(&self.history, cfg.clone(), liar);
             }
             picks.push(cfg);
-        }
-        if k > 0 {
-            self.last_liar = Some(liar);
         }
         picks
     }
@@ -1317,28 +1017,26 @@ impl Tuner {
     /// from the batch and counted as a stall (surfaced through the
     /// existing `ProposalStalled` accounting when the run finishes).
     ///
-    /// With `k == 1` this performs exactly the fits, RNG draws, and events
-    /// of [`suggest`](Self::suggest) — the serial==batch=1 parity contract
-    /// extends to Proposal mode.
+    /// This is the only place stalls are counted: every driver, serial
+    /// stepping (a batch of one) included, relies on this count.
     fn suggest_batch_proposal(&mut self, k: usize, candidates: usize) -> Vec<Configuration> {
         self.sync_failed_cache();
         let traced = self.recorder.enabled();
         let base_iteration = self.history.trials() as u64;
         let opts = self.surrogate_options();
         let prior = self.options.prior.as_ref().map(|(p, w)| (p, *w));
-        // Scratch tables: real history plus constant-liar fantasies.
-        let mut configs: Vec<Configuration> = self.history.configs().to_vec();
-        let mut objectives: Vec<f64> = self.history.objectives().to_vec();
+        let mut fantasies = FantasyTables::default();
         let mut batch_seen: FxHashSet<Configuration> = FxHashSet::default();
         let mut liar = 0.0;
         let mut picks = Vec::with_capacity(k);
         let mut stalled = 0usize;
         for i in 0..k {
             let fit_timer = SpanTimer::start(traced);
+            let (configs, objectives) = fantasies.view(&self.history);
             let surrogate = TpeSurrogate::fit_with_failures_scratch(
                 &self.space,
-                &configs,
-                &objectives,
+                configs,
+                objectives,
                 &self.failed_cache,
                 &opts,
                 prior,
@@ -1383,16 +1081,12 @@ impl Tuner {
                 continue;
             }
             if i + 1 < k {
-                configs.push(pick.config.clone());
-                objectives.push(liar);
+                fantasies.push(&self.history, pick.config.clone(), liar);
+                batch_seen.insert(pick.config.clone());
             }
-            batch_seen.insert(pick.config.clone());
             picks.push(pick.config);
         }
         self.stalls += stalled;
-        if k > 0 {
-            self.last_liar = Some(liar);
-        }
         picks
     }
 
@@ -1484,10 +1178,9 @@ impl Tuner {
             dbg_objectives.truncate(self.history.len());
             self.assert_engine_parity(&dbg_configs, &dbg_objectives);
         }
-        self.publish_churn(span.elapsed_ns());
-        if k > 0 {
-            self.last_liar = Some(liar);
-        }
+        // A batch of one pushes no fantasy: its only delta update is the
+        // sync, which `sync_engine` already timed.
+        self.publish_churn(span.elapsed_ns().filter(|_| fantasies > 0));
         picks
     }
 
@@ -1521,10 +1214,8 @@ impl Tuner {
     /// randomness (fault draws, retry jitter) on that trial index so
     /// results are independent of worker scheduling.
     ///
-    /// With `k == 1` every fit, selection, evaluation, and append happens
-    /// in exactly the serial [`step_fallible`](Self::step_fallible) order,
-    /// so the resulting history is bit-identical to a serial run — under
-    /// both strategies.
+    /// This is the tuner's only driver: [`step_fallible`](Self::step_fallible)
+    /// and every `run*` loop call it, the serial ones with `k == 1`.
     ///
     /// An empty suggestion set means "pool exhausted" (`false`) under
     /// Ranking, but under Proposal it means every pick of this batch
@@ -1554,12 +1245,13 @@ impl Tuner {
         }
         let suggestions = if self.history.is_empty() {
             // All trials failed so far: no surrogate, recover by restarts.
-            self.recovery_batch(k)
+            let recovery = self.recovery_batch(k);
+            if recovery.is_empty() {
+                return false; // every configuration has been tried
+            }
+            recovery
         } else {
-            let ts = std::time::Instant::now();
-            let s = self.suggest_batch(k);
-            self.pipeline_stats.critical_path_suggest_ns += ts.elapsed().as_nanos() as u64;
-            s
+            self.suggest_batch(k)
         };
         if suggestions.is_empty() {
             // Ranking: the pool is exhausted, no further progress possible.
@@ -1576,40 +1268,54 @@ impl Tuner {
     /// batch with one `evaluate_batch` call — typically a multi-worker
     /// executor. The final batch is clamped so the budget is honored
     /// exactly. Returns `None` when the run ends with zero successful
-    /// observations.
-    ///
-    /// With `batch == 1` the run is bit-identical to
-    /// [`run_fallible`](Self::run_fallible) with the same seed (pinned by
-    /// regression test).
+    /// observations. [`run_fallible`](Self::run_fallible) is this call
+    /// with `batch == 1`.
     pub fn run_batch_fallible(
         &mut self,
         budget: usize,
         batch: usize,
-        mut evaluate_batch: impl FnMut(&[Configuration], u64) -> Vec<EvalOutcome>,
+        evaluate_batch: impl FnMut(&[Configuration], u64) -> Vec<EvalOutcome>,
     ) -> Option<BestResult> {
         assert!(budget > 0, "budget must be positive");
         assert!(batch > 0, "batch size must be positive");
+        // A budget smaller than init_samples spends it all on bootstrap.
+        // Clamp on a local: the stored options stay as configured.
+        let init = self.options.init_samples.min(budget);
+        let next =
+            |h: &ObservationHistory| (h.trials() < budget).then(|| batch.min(budget - h.trials()));
+        self.drive(init, batch, 100 * budget, next, evaluate_batch)
+    }
+
+    /// The run loop behind every `run*` call: emits the run header,
+    /// bootstraps `init` samples in chunks of `batch` if that has not
+    /// happened yet, then steps batches of the size `next_batch` returns
+    /// until it returns `None`, the pool is exhausted, or more than
+    /// `stall_limit` consecutive iterations make no progress (stalls are
+    /// counted per pick inside [`suggest_batch`](Self::suggest_batch); the
+    /// limit only bounds the loop so a degenerate space cannot spin
+    /// forever). Takes the final checkpoint and reads off the best.
+    fn drive(
+        &mut self,
+        init: usize,
+        batch: usize,
+        stall_limit: usize,
+        mut next_batch: impl FnMut(&ObservationHistory) -> Option<usize>,
+        mut evaluate_batch: impl FnMut(&[Configuration], u64) -> Vec<EvalOutcome>,
+    ) -> Option<BestResult> {
         self.emit_run_header();
         self.reset_stalls();
         if !self.bootstrapped {
-            // A budget smaller than init_samples spends it all on bootstrap.
-            // Clamp on a local: the stored options stay as configured.
-            let init = self.options.init_samples.min(budget);
             self.bootstrap_batch(&mut evaluate_batch, init, batch);
         }
         let mut stall_guard = 0usize;
-        while self.history.trials() < budget {
+        while let Some(k) = next_batch(&self.history) {
             let before = self.history.trials();
-            let k = batch.min(budget - before);
             if !self.step_batch_fallible(k, &mut evaluate_batch) {
                 break; // pool exhausted
             }
             if self.history.trials() == before {
-                // A fully stalled Proposal batch (stalls are counted per
-                // pick inside suggest_batch; this guard only bounds the
-                // loop so a degenerate space cannot spin forever).
                 stall_guard += 1;
-                if stall_guard > 100 * budget {
+                if stall_guard > stall_limit {
                     break;
                 }
             } else {
@@ -1620,546 +1326,11 @@ impl Tuner {
         self.finish_run()
     }
 
-    /// Pipelined variant of [`run_batch_fallible`](Self::run_batch_fallible):
-    /// while `evaluate_batch` runs batch *k* on a scoped worker thread, the
-    /// tuner speculatively pre-computes batch *k+1* on this thread using the
-    /// incremental surrogate plus CL-min fantasies for the in-flight
-    /// configurations (lied at the best observed objective, so fantasies
-    /// land in the good partition exactly where model-driven outcomes
-    /// usually do). At merge time a validation step replays the real
-    /// decision inputs: picks whose inputs replay bit-identically are
-    /// adopted without re-running the selection sweep
-    /// (`SpeculationCommitted`); any divergence falls back to the exact
-    /// serial computation for the rest of the batch
-    /// (`SpeculationDiscarded`).
-    ///
-    /// Histories, traces (modulo the `Speculation*` bookkeeping events and
-    /// scrubbed-by-convention `elapsed_ns` fields), reports, and checkpoint
-    /// bytes are **bit-identical** to `run_batch_fallible` with the same
-    /// seed at every worker count and batch size, in both strategies:
-    ///
-    /// - **Ranking** (incremental surrogate): speculation consumes no RNG
-    ///   and touches only the engine (fantasies are popped before the round
-    ///   ends). Validation compares the engine's score tables bitwise per
-    ///   pick — equal tables and an equal seen-mask imply the same argmax,
-    ///   tie-break included, so adoption is exact.
-    /// - **Proposal**: speculation draws from a *cloned* RNG cursor; KDE
-    ///   resampling makes input-replay impractical, so validation recomputes
-    ///   the batch on the real RNG and the comparison feeds only the
-    ///   hit-rate accounting. Bit-identity is inherited from the
-    ///   recomputation; the wall-clock win in this mode comes from overlap
-    ///   being free, not from skipping work.
-    ///
-    /// Speculation never runs past the budget, never leaks fantasies into
-    /// checkpoints (snapshots happen at merge boundaries, after fantasies
-    /// are popped), and is skipped entirely during bootstrap and failure
-    /// recovery.
-    ///
-    /// `evaluate_batch` must be `Fn + Sync` (it is called from a scoped
-    /// thread); executors like `BatchExecutor::evaluate_batch` take `&self`
-    /// and qualify directly.
-    pub fn run_batch_pipelined<F>(
-        &mut self,
-        budget: usize,
-        batch: usize,
-        evaluate_batch: F,
-    ) -> Option<BestResult>
-    where
-        F: Fn(&[Configuration], u64) -> Vec<EvalOutcome> + Sync,
-    {
-        assert!(budget > 0, "budget must be positive");
-        assert!(batch > 0, "batch size must be positive");
-        self.emit_run_header();
-        self.reset_stalls();
-        if !self.bootstrapped {
-            // A budget smaller than init_samples spends it all on bootstrap.
-            let init = self.options.init_samples.min(budget);
-            self.bootstrap_batch(
-                &mut |cfgs: &[Configuration], base: u64| evaluate_batch(cfgs, base),
-                init,
-                batch,
-            );
-        }
-        let mut stall_guard = 0usize;
-        // Suggestions pre-computed (suggestion events included) by the
-        // previous round's validation step, waiting to be dispatched.
-        let mut pending: Option<Vec<Configuration>> = None;
-        while self.history.trials() < budget {
-            let k = batch.min(budget - self.history.trials());
-            let suggestions = match pending.take() {
-                Some(s) => s,
-                None => {
-                    // Critical-path suggestion: the first model round, and
-                    // rounds after a recovery, a stall, or a pool-exhaustion
-                    // edge — exactly the serial step sequence.
-                    if self.recorder.enabled() {
-                        self.recorder.record(&Event::IterationStart {
-                            iteration: self.history.trials() as u64,
-                            history_len: self.history.len() as u64,
-                        });
-                    }
-                    if self.history.is_empty() {
-                        // All trials failed so far: no surrogate to
-                        // speculate with; recover serially.
-                        let recovery = self.recovery_batch(k);
-                        if recovery.is_empty() {
-                            break; // space exhausted
-                        }
-                        self.evaluate_and_merge(
-                            &recovery,
-                            &mut |cfgs: &[Configuration], base: u64| evaluate_batch(cfgs, base),
-                            false,
-                        );
-                        stall_guard = 0;
-                        continue;
-                    }
-                    let ts = std::time::Instant::now();
-                    let s = self.suggest_batch(k);
-                    self.pipeline_stats.critical_path_suggest_ns += ts.elapsed().as_nanos() as u64;
-                    if s.is_empty() {
-                        if matches!(self.options.strategy, SelectionStrategy::Proposal { .. }) {
-                            // Whole batch stalled on duplicates; fresh
-                            // draws next iteration can still make progress.
-                            stall_guard += 1;
-                            if stall_guard > 100 * budget {
-                                break;
-                            }
-                            continue;
-                        }
-                        break; // Ranking: pool exhausted
-                    }
-                    s
-                }
-            };
-            // Dispatch the batch to a scoped worker thread and speculate
-            // the next batch here while it evaluates.
-            let traced = self.recorder.enabled();
-            let base = self.history.trials() as u64;
-            let kk = suggestions.len();
-            if traced && kk > 1 {
-                self.recorder.record(&Event::BatchDispatched {
-                    iteration: base,
-                    batch: kk as u64,
-                });
-            }
-            let spec_k = batch.min(budget.saturating_sub(self.history.trials() + kk));
-            let timer = SpanTimer::start(traced);
-            let mut outcomes: Option<Vec<EvalOutcome>> = None;
-            let spec = std::thread::scope(|scope| {
-                let worker = scope.spawn(|| evaluate_batch(&suggestions, base));
-                // The speculation runs concurrently with the evaluation. It
-                // must never touch the recorder, the checkpoint file, or
-                // (under Ranking) the RNG — and it pops every fantasy
-                // before returning, so the merge below sees the engine
-                // mirroring the real history.
-                //
-                // Let the worker (and the evaluation threads it spawns)
-                // reach their blocking points before burning CPU here: on
-                // saturated or single-core hosts the speculation would
-                // otherwise delay the dispatch it is meant to hide behind
-                // by a scheduler tick.
-                std::thread::yield_now();
-                let spec = if spec_k > 0 {
-                    self.speculate(&suggestions, spec_k)
-                } else {
-                    None
-                };
-                outcomes = Some(worker.join().expect("batch evaluation panicked"));
-                spec
-            });
-            let outcomes = outcomes.expect("joined above");
-            self.merge_outcomes(&suggestions, outcomes, timer.elapsed_ns(), false);
-            stall_guard = 0;
-            if self.history.trials() >= budget {
-                debug_assert!(spec.is_none(), "no speculation is planned past the budget");
-                break;
-            }
-            debug_assert!(
-                !self.history.is_empty(),
-                "dispatch requires observations, and merging only adds"
-            );
-            // Validation: replay the next round's decision inputs against
-            // the speculation, emitting its suggestion events exactly where
-            // the serial trace would.
-            let nk = batch.min(budget - self.history.trials());
-            if self.recorder.enabled() {
-                self.recorder.record(&Event::IterationStart {
-                    iteration: self.history.trials() as u64,
-                    history_len: self.history.len() as u64,
-                });
-            }
-            let tv = std::time::Instant::now();
-            let next = self.validated_suggest_batch(nk, spec);
-            self.pipeline_stats.critical_path_suggest_ns += tv.elapsed().as_nanos() as u64;
-            if next.is_empty() {
-                if matches!(self.options.strategy, SelectionStrategy::Proposal { .. }) {
-                    stall_guard += 1;
-                    if stall_guard > 100 * budget {
-                        break;
-                    }
-                    continue;
-                }
-                break; // Ranking: pool exhausted
-            }
-            pending = Some(next);
-        }
-        self.final_checkpoint();
-        self.finish_run()
-    }
-
-    /// Pre-computes the next batch while `pending` is being evaluated.
-    /// Returns `None` when speculation is not applicable this round: no
-    /// prior model-driven batch, an all-failures history, or a Ranking
-    /// tuner running the from-scratch surrogate.
-    ///
-    /// The in-flight outcomes are fantasized at the *best observed
-    /// objective* (the CL-min lie), not at the batch's own liar threshold:
-    /// the TPE decision state depends on the objective values only through
-    /// good/bad partition membership, and model-driven picks usually land
-    /// in the good partition — where the best-so-far value provably sits.
-    /// When the real outcomes do too, the replayed partition (and with it
-    /// every score table and threshold) is bit-identical to the
-    /// speculation's, so whole batches commit. A lie at the partition
-    /// *boundary* instead puts fantasies on the wrong side almost every
-    /// round, and near-zero speculation survives validation.
-    fn speculate(&mut self, pending: &[Configuration], k: usize) -> Option<Speculation> {
-        if self.history.is_empty() || self.last_liar.is_none() {
-            return None;
-        }
-        // All-failure histories have no finite objective to lie with.
-        let lie = self
-            .history
-            .objectives()
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        if !lie.is_finite() {
-            return None;
-        }
-        match self.options.strategy {
-            SelectionStrategy::Proposal { candidates } => self
-                .speculate_proposal(pending, k, candidates, lie)
-                .map(Speculation::Proposal),
-            SelectionStrategy::Ranking if self.use_incremental() => self
-                .speculate_ranking(pending, k, lie)
-                .map(Speculation::Ranking),
-            _ => None,
-        }
-    }
-
-    /// Ranking-mode speculation: pushes CL-min fantasies for the in-flight
-    /// batch, then runs the incremental constant-liar batch selection for
-    /// the next `k` picks, snapshotting per pick the score tables the
-    /// argmax saw. Every fantasy is popped before returning; no events, no
-    /// RNG.
-    fn speculate_ranking(
-        &mut self,
-        pending: &[Configuration],
-        k: usize,
-        lie: f64,
-    ) -> Option<RankingSpec> {
-        self.sync_engine();
-        self.pool();
-        let pool = self.pool.as_ref().expect("just built");
-        let engine = self.engine.as_mut().expect("just synced");
-        let mut seen = pool.seen.clone();
-        let mut fantasies = 0usize;
-        for cfg in pending {
-            engine.observe(cfg, lie);
-            fantasies += 1;
-            if let Some(&i) = pool.position.get(cfg) {
-                seen.set(i as usize);
-            }
-        }
-        let start_seen = seen.clone();
-        let mut spec_liar = 0.0;
-        let mut stages: Vec<RankingSpecStage> = Vec::with_capacity(k);
-        for i in 0..k {
-            if i == 0 {
-                // The liar the *next* round will use: its own pre-batch
-                // good-threshold, fantasies included.
-                spec_liar = engine.threshold();
-            } else {
-                let prev = stages.last().expect("picked last stage").pick_pos as usize;
-                let prev_cfg = pool.configs[prev].clone();
-                engine.observe(&prev_cfg, spec_liar);
-                fantasies += 1;
-            }
-            let tables = engine
-                .tables()
-                .expect("Ranking requires a fully discrete space");
-            let snapshot = tables.iter().map(|t| t.to_vec()).collect();
-            let Some(pos) = rank_encoded(&tables, &pool.encoding, &seen) else {
-                break; // pool exhausted mid-batch
-            };
-            seen.set(pos);
-            stages.push(RankingSpecStage {
-                pick_pos: pos as u32,
-                tables: snapshot,
-            });
-        }
-        // Evict every fantasy: between rounds the engine mirrors history.
-        for _ in 0..fantasies {
-            engine.pop_observation();
-        }
-        (!stages.is_empty()).then_some(RankingSpec {
-            k,
-            start_seen,
-            stages,
-        })
-    }
-
-    /// Proposal-mode speculation: same fantasy layout as the Ranking arm,
-    /// but the batch is drawn from a *clone* of the RNG cursor, with the
-    /// in-flight configurations pre-seeded into the duplicate check (the
-    /// real post-merge history will contain them as observations or
-    /// quarantined failures — both count as seen). No events, no stall
-    /// accounting; the real RNG is untouched.
-    fn speculate_proposal(
-        &mut self,
-        pending: &[Configuration],
-        k: usize,
-        candidates: usize,
-        lie: f64,
-    ) -> Option<ProposalSpec> {
-        self.sync_failed_cache();
-        let opts = self.surrogate_options();
-        let prior = self.options.prior.as_ref().map(|(p, w)| (p, *w));
-        let mut configs: Vec<Configuration> = self.history.configs().to_vec();
-        let mut objectives: Vec<f64> = self.history.objectives().to_vec();
-        let mut batch_seen: FxHashSet<Configuration> = pending.iter().cloned().collect();
-        configs.extend(pending.iter().cloned());
-        objectives.extend(std::iter::repeat_n(lie, pending.len()));
-        let mut rng = self.rng.clone();
-        let mut spec_liar = 0.0;
-        let mut picks = Vec::with_capacity(k);
-        for i in 0..k {
-            let surrogate = TpeSurrogate::fit_with_failures_scratch(
-                &self.space,
-                &configs,
-                &objectives,
-                &self.failed_cache,
-                &opts,
-                prior,
-                &mut self.fit_scratch,
-            );
-            if i == 0 {
-                spec_liar = surrogate.threshold();
-            }
-            let pick = select_by_proposal_vectorized(
-                &surrogate,
-                &self.space,
-                &self.history,
-                Some(&batch_seen),
-                candidates,
-                PROPOSAL_REDRAW_ROUNDS,
-                &mut rng,
-                &mut self.proposal_scratch,
-            );
-            if pick.duplicate {
-                continue;
-            }
-            if i + 1 < k {
-                configs.push(pick.config.clone());
-                objectives.push(spec_liar);
-            }
-            batch_seen.insert(pick.config.clone());
-            picks.push(pick.config);
-        }
-        Some(ProposalSpec { k, picks })
-    }
-
-    /// The post-merge validation step: produces the next batch exactly as
-    /// the serial algorithm would (same picks, same events, same RNG
-    /// consumption), adopting speculative work where the replayed decision
-    /// inputs prove it identical, and records the commit/discard outcome.
-    fn validated_suggest_batch(
-        &mut self,
-        k: usize,
-        spec: Option<Speculation>,
-    ) -> Vec<Configuration> {
-        match spec {
-            None => self.suggest_batch(k),
-            Some(Speculation::Ranking(spec)) => self.suggest_batch_ranking_validated(k, spec),
-            Some(Speculation::Proposal(spec)) => {
-                let SelectionStrategy::Proposal { candidates } = self.options.strategy else {
-                    unreachable!("Proposal speculation under a non-Proposal strategy");
-                };
-                let iteration = self.history.trials() as u64;
-                let picks = self.suggest_batch_proposal(k, candidates);
-                let matched = spec
-                    .picks
-                    .iter()
-                    .zip(&picks)
-                    .take_while(|(a, b)| a == b)
-                    .count();
-                let committed = spec.k == k && spec.picks == picks;
-                self.note_speculation(iteration, k, committed, matched);
-                picks
-            }
-        }
-    }
-
-    /// [`suggest_batch_incremental`](Self::suggest_batch_incremental) with
-    /// speculative-pick adoption. Per pick, two independent questions:
-    ///
-    /// * **Was the prediction right?** The real pick (however computed)
-    ///   equals the speculative one. The matched prefix length drives the
-    ///   commit/discard accounting; the first wrong prediction invalidates
-    ///   the rest of the batch (the seen-mask evolutions diverge).
-    /// * **Can the sweep be skipped?** Only when the replayed score tables
-    ///   are bitwise identical to what the speculation saw (and the prefix
-    ///   is still intact, so the seen-masks agree): the pre-computed argmax
-    ///   then *is* the serial argmax — same tie-break — with no sweep.
-    ///
-    /// Real merged outcomes usually perturb the good/bad partition counts
-    /// slightly, so at large histories tables rarely replay bit-identical
-    /// even when the resulting argmax is unchanged — hence the split.
-    /// Emits exactly the serial event sequence.
-    fn suggest_batch_ranking_validated(
-        &mut self,
-        k: usize,
-        spec: RankingSpec,
-    ) -> Vec<Configuration> {
-        let traced = self.recorder.enabled();
-        let base_iteration = self.history.trials() as u64;
-        let span = SpanTimer::start(self.metrics.is_some());
-        self.pool();
-        let seen0 = self.pool.as_ref().expect("just built").seen.clone();
-        // The speculative seen-mask tracks the real one only while every
-        // prediction so far was right (same start, same picks).
-        let mut prefix = spec.k == k && spec.start_seen == seen0;
-        let mut seen = seen0;
-        #[cfg(debug_assertions)]
-        let mut dbg_configs: Vec<Configuration> = Vec::new();
-        #[cfg(debug_assertions)]
-        let mut dbg_objectives: Vec<f64> = Vec::new();
-        let mut fantasies = 0usize;
-        let mut liar = 0.0;
-        let mut matched = 0usize;
-        let mut picks: Vec<Configuration> = Vec::with_capacity(k);
-        for i in 0..k {
-            let fit_timer = SpanTimer::start(traced);
-            if i == 0 {
-                self.sync_engine();
-                liar = self.engine.as_ref().expect("just synced").threshold();
-                #[cfg(debug_assertions)]
-                {
-                    dbg_configs = self.history.configs().to_vec();
-                    dbg_objectives = self.history.objectives().to_vec();
-                }
-            } else {
-                let prev = picks.last().expect("picked last iteration").clone();
-                let engine = self.engine.as_mut().expect("synced on first pick");
-                engine.observe(&prev, liar);
-                fantasies += 1;
-                #[cfg(debug_assertions)]
-                {
-                    dbg_configs.push(prev);
-                    dbg_objectives.push(liar);
-                    self.assert_engine_parity(&dbg_configs, &dbg_objectives);
-                }
-            }
-            let engine = self.engine.as_ref().expect("synced on first pick");
-            if let Some(elapsed_ns) = fit_timer.elapsed_ns() {
-                self.recorder.record(&Event::SurrogateFit {
-                    iteration: base_iteration + i as u64,
-                    n_good: engine.n_good() as u64,
-                    n_bad: engine.n_bad() as u64,
-                    threshold: engine.threshold(),
-                    elapsed_ns,
-                });
-            }
-            let select_timer = SpanTimer::start(traced);
-            let pool = self.pool.as_ref().expect("just built");
-            let engine = self.engine.as_ref().expect("synced on first pick");
-            let tables = engine
-                .tables()
-                .expect("Ranking requires a fully discrete space");
-            let stage = if prefix { spec.stages.get(i) } else { None };
-            let pos = match stage {
-                Some(st) if tables_match(&tables, &st.tables) => {
-                    self.pipeline_stats.sweeps_skipped += 1;
-                    st.pick_pos as usize
-                }
-                _ => {
-                    let Some(pos) = rank_encoded(&tables, &pool.encoding, &seen) else {
-                        break; // pool exhausted mid-batch
-                    };
-                    pos
-                }
-            };
-            match stage {
-                Some(st) if st.pick_pos as usize == pos => matched += 1,
-                _ => prefix = false,
-            }
-            debug_assert!(!seen.get(pos), "adopted a speculative pick already seen");
-            let cfg = pool.configs[pos].clone();
-            if let Some(elapsed_ns) = select_timer.elapsed_ns() {
-                self.recorder.record(&Event::SelectionScored {
-                    iteration: base_iteration + i as u64,
-                    candidates: pool.configs.len() as u64,
-                    best_ei: engine.score(&cfg),
-                    elapsed_ns,
-                });
-            }
-            seen.set(pos);
-            picks.push(cfg);
-        }
-        // Evict the fantasies: the engine must mirror the real history
-        // before outcomes are merged back.
-        let engine = self.engine.as_mut().expect("synced on first pick");
-        for _ in 0..fantasies {
-            engine.pop_observation();
-        }
-        #[cfg(debug_assertions)]
-        {
-            dbg_configs.truncate(self.history.len());
-            dbg_objectives.truncate(self.history.len());
-            self.assert_engine_parity(&dbg_configs, &dbg_objectives);
-        }
-        self.publish_churn(span.elapsed_ns());
-        if k > 0 {
-            self.last_liar = Some(liar);
-        }
-        let committed = prefix && matched == k && picks.len() == k;
-        self.note_speculation(base_iteration, k, committed, matched);
-        picks
-    }
-
-    /// Folds one speculation outcome into the stats and, when traced,
-    /// emits the corresponding bookkeeping event. These events carry no
-    /// decision state: bit-identity comparisons against unpipelined traces
-    /// filter them out.
-    fn note_speculation(&mut self, iteration: u64, batch: usize, committed: bool, matched: usize) {
-        self.pipeline_stats.attempted += 1;
-        if committed {
-            self.pipeline_stats.committed += 1;
-        } else {
-            self.pipeline_stats.discarded += 1;
-        }
-        self.pipeline_stats.picks_adopted += matched as u64;
-        if self.recorder.enabled() {
-            let event = if committed {
-                Event::SpeculationCommitted {
-                    iteration,
-                    batch: batch as u64,
-                }
-            } else {
-                Event::SpeculationDiscarded {
-                    iteration,
-                    batch: batch as u64,
-                    matched: matched as u64,
-                }
-            };
-            self.recorder.record(&event);
-        }
-    }
-
-    /// Runs the bootstrap phase in chunks of `k` through the batch
-    /// evaluator. Sample selection is identical to the serial
-    /// [`bootstrap`](Self::bootstrap) (same RNG draws); only the
-    /// evaluation is chunked.
+    /// Runs the bootstrap phase if it has not happened yet: evaluates
+    /// `init_samples` distinct configurations (uniform random or Latin
+    /// hypercube), in chunks of `k` through the batch evaluator. The count
+    /// is a parameter (not read from `self.options`) so budget-driven
+    /// clamping never mutates the configured options.
     fn bootstrap_batch(
         &mut self,
         evaluate_batch: &mut impl FnMut(&[Configuration], u64) -> Vec<EvalOutcome>,
@@ -2175,9 +1346,10 @@ impl Tuner {
         } else {
             init_samples
         };
-        // Mirror the serial bootstrap's resume support: redraw from the
-        // pre-draw RNG position and skip the already-evaluated prefix.
-        // Skipping whole chunks keeps the batch boundaries — and therefore
+        // A mid-bootstrap resume restarts here with the RNG at the pre-draw
+        // position and the evaluated prefix already in the history: redraw
+        // the identical sample list and skip that prefix. Skipping whole
+        // chunks keeps the batch boundaries — and therefore
         // the constant-liar layout of every later batch — aligned with the
         // uninterrupted run (checkpoints are only taken at merge points,
         // so the evaluated prefix is always chunk-aligned).
@@ -2199,10 +1371,11 @@ impl Tuner {
         self.bootstrapped = true;
     }
 
-    /// Draws up to `k` distinct recovery configurations (see
-    /// [`recovery_config`](Self::recovery_config)), deduplicated against
-    /// both the history and each other. With `k == 1` the RNG draws are
-    /// identical to the serial recovery path.
+    /// Up to `k` configurations to evaluate when the surrogate cannot be
+    /// fit because every trial so far failed: uniform random restarts,
+    /// deduplicated against the history and each other, falling back to a
+    /// pool scan on small discrete spaces where rejection sampling keeps
+    /// colliding. Empty when the whole space has been tried.
     fn recovery_batch(&mut self, k: usize) -> Vec<Configuration> {
         let mut out: Vec<Configuration> = Vec::new();
         for _ in 0..k {
@@ -2229,10 +1402,11 @@ impl Tuner {
         out
     }
 
-    /// Evaluates `suggestions` through one `evaluate_batch` call and
-    /// merges the outcomes back in suggestion order. `BatchDispatched` /
-    /// `BatchMerged` events frame batches of more than one configuration
-    /// (single-config batches keep the serial trace shape).
+    /// Evaluates `suggestions` through one `evaluate_batch` call, merges
+    /// the outcomes back into the history in suggestion order, and takes
+    /// the merge-boundary checkpoint. `BatchDispatched` / `BatchMerged`
+    /// events frame batches of more than one configuration (batches of one
+    /// keep the serial trace shape).
     fn evaluate_and_merge(
         &mut self,
         suggestions: &[Configuration],
@@ -2250,22 +1424,7 @@ impl Tuner {
         }
         let timer = SpanTimer::start(traced);
         let outcomes = evaluate_batch(suggestions, base);
-        self.merge_outcomes(suggestions, outcomes, timer.elapsed_ns(), bootstrap);
-    }
-
-    /// Merges batch outcomes back into the history in suggestion order and
-    /// takes the merge-boundary checkpoint. Shared by the serial batch path
-    /// (which evaluates inline) and the pipelined driver (which evaluates
-    /// on a scoped thread while speculating).
-    fn merge_outcomes(
-        &mut self,
-        suggestions: &[Configuration],
-        outcomes: Vec<EvalOutcome>,
-        elapsed: Option<u64>,
-        bootstrap: bool,
-    ) {
-        let base = self.history.trials() as u64;
-        let k = suggestions.len();
+        let elapsed = timer.elapsed_ns();
         assert_eq!(
             outcomes.len(),
             k,
@@ -2292,17 +1451,17 @@ impl Tuner {
                 elapsed_ns,
             });
         }
-        // Merge boundaries are the batch mode's safe points: a snapshot
-        // here keeps the trial cursor chunk-aligned, so a resumed run's
-        // batch layout matches the uninterrupted one.
+        // Merge boundaries are the safe points: a snapshot here keeps the
+        // trial cursor chunk-aligned, so a resumed run's batch layout
+        // matches the uninterrupted one.
         self.maybe_checkpoint();
     }
 
     /// Persists a snapshot if checkpointing is enabled and at least
     /// `every` trials have elapsed since the last write. Called only at
-    /// safe points (after a serial push or a whole-batch merge). Snapshot
-    /// writes never touch the RNG or the history, so enabling
-    /// checkpointing cannot change what the tuner evaluates.
+    /// safe points (after a whole-batch merge). Snapshot writes never
+    /// touch the RNG or the history, so enabling checkpointing cannot
+    /// change what the tuner evaluates.
     fn maybe_checkpoint(&mut self) {
         let Some(policy) = &self.checkpointing else {
             return;
@@ -2374,36 +1533,15 @@ impl Tuner {
             !rules.is_empty() || self.space.is_fully_discrete(),
             "an empty stopping set on a continuous space never terminates"
         );
-        self.emit_run_header();
-        self.reset_stalls();
-        if !self.bootstrapped {
-            // Clamp on a local: the stored options stay as configured (the
-            // run header and later runs on this tuner must not see a
-            // budget-mangled init_samples).
-            let mut init = self.options.init_samples;
-            if let Some(cap) = rules.evaluation_cap() {
-                init = init.min(cap.max(1));
-            }
-            self.bootstrap(&mut objective, init);
+        // Clamp on a local: the stored options stay as configured (the run
+        // header and later runs on this tuner must not see a budget-mangled
+        // init_samples).
+        let mut init = self.options.init_samples;
+        if let Some(cap) = rules.evaluation_cap() {
+            init = init.min(cap.max(1));
         }
-        let mut stall_guard = 0usize;
-        while !rules.should_stop(&self.history) {
-            let before = self.history.trials();
-            if !self.step_fallible(&mut objective) {
-                break; // pool exhausted
-            }
-            if self.history.trials() == before {
-                self.stalls += 1;
-                stall_guard += 1;
-                if stall_guard > 10_000 {
-                    break; // proposal duplicates only; treat as converged
-                }
-            } else {
-                stall_guard = 0;
-            }
-        }
-        self.final_checkpoint();
-        self.finish_run()
+        let next = |h: &ObservationHistory| (!rules.should_stop(h)).then_some(1);
+        self.drive(init, 1, 10_000, next, |cfgs, _| vec![objective(&cfgs[0])])
     }
 
     /// Emits the self-describing [`RunHeader`] event (no-op when untraced),
@@ -2487,39 +1625,15 @@ impl Tuner {
     /// successes plus permanent failures — since a crashed run consumes
     /// machine time exactly like a successful one. Returns `None` when the
     /// run ends with zero successful observations.
+    ///
+    /// This is [`run_batch_fallible`](Self::run_batch_fallible) with a
+    /// batch of one.
     pub fn run_fallible(
         &mut self,
         budget: usize,
         mut objective: impl FnMut(&Configuration) -> EvalOutcome,
     ) -> Option<BestResult> {
-        assert!(budget > 0, "budget must be positive");
-        self.emit_run_header();
-        self.reset_stalls();
-        if !self.bootstrapped {
-            // A budget smaller than init_samples spends it all on bootstrap.
-            // Clamp on a local: the stored options stay as configured.
-            let init = self.options.init_samples.min(budget);
-            self.bootstrap(&mut objective, init);
-        }
-        let mut stall_guard = 0usize;
-        while self.history.trials() < budget {
-            let before = self.history.trials();
-            if !self.step_fallible(&mut objective) {
-                break; // pool exhausted
-            }
-            if self.history.trials() == before {
-                // Proposal duplicate; tolerate a bounded number of stalls.
-                self.stalls += 1;
-                stall_guard += 1;
-                if stall_guard > 100 * budget {
-                    break;
-                }
-            } else {
-                stall_guard = 0;
-            }
-        }
-        self.final_checkpoint();
-        self.finish_run()
+        self.run_batch_fallible(budget, 1, |cfgs, _| vec![objective(&cfgs[0])])
     }
 }
 
@@ -2968,210 +2082,5 @@ mod tests {
             }
         }
         assert!(wins >= 7, "prior helped only {wins}/10 runs");
-    }
-
-    /// A bigger discrete space (three 12-level params) so pipelined batch
-    /// runs have room for several model-driven rounds.
-    fn big_space() -> ParameterSpace {
-        let vals: Vec<i64> = (0..12).collect();
-        ParameterSpace::builder()
-            .param(ParamDef::new("x", Domain::discrete_ints(&vals)))
-            .param(ParamDef::new("y", Domain::discrete_ints(&vals)))
-            .param(ParamDef::new("z", Domain::discrete_ints(&vals)))
-            .build()
-            .unwrap()
-    }
-
-    fn big_objective(cfg: &Configuration) -> f64 {
-        let x = cfg.value(0).index() as f64;
-        let y = cfg.value(1).index() as f64;
-        let z = cfg.value(2).index() as f64;
-        (x - 7.0).powi(2) + (y - 3.0).powi(2) + (z - 9.0).powi(2) + 1.0
-    }
-
-    fn history_fingerprint(t: &Tuner) -> (Vec<String>, Vec<u64>, Vec<String>, usize) {
-        (
-            t.history()
-                .configs()
-                .iter()
-                .map(|c| format!("{c:?}"))
-                .collect(),
-            t.history()
-                .objectives()
-                .iter()
-                .map(|o| o.to_bits())
-                .collect(),
-            t.history()
-                .failures()
-                .iter()
-                .map(|f| format!("{:?}:{}", f.config, f.reason))
-                .collect(),
-            t.history().trials(),
-        )
-    }
-
-    #[test]
-    fn pipelined_run_is_bit_identical_to_serial_batch_ranking() {
-        for batch in [1usize, 3, 4] {
-            let opts = TunerOptions::default().with_seed(11).with_init_samples(8);
-            let mut serial = Tuner::new(big_space(), opts.clone());
-            serial.run_batch_fallible(48, batch, |cfgs, _| {
-                cfgs.iter()
-                    .map(|c| EvalOutcome::from_value(big_objective(c)))
-                    .collect()
-            });
-            let mut piped = Tuner::new(big_space(), opts);
-            piped.run_batch_pipelined(48, batch, |cfgs, _| {
-                cfgs.iter()
-                    .map(|c| EvalOutcome::from_value(big_objective(c)))
-                    .collect()
-            });
-            assert_eq!(
-                history_fingerprint(&serial),
-                history_fingerprint(&piped),
-                "pipelined != serial at batch {batch}"
-            );
-            if batch > 1 {
-                let stats = piped.pipeline_stats();
-                assert!(stats.attempted > 0, "no speculation attempted");
-            }
-        }
-    }
-
-    /// In the exploitation regime — a warm history whose model-driven
-    /// picks land in the good partition — the CL-min fantasies match the
-    /// real partition exactly, so speculation must commit whole batches
-    /// and adopt picks without re-running the pool sweep.
-    #[test]
-    fn speculation_commits_in_exploitation_regime() {
-        let s = big_space();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xBEEF);
-        let mut history = ObservationHistory::new();
-        for cfg in hiperbot_space::sampling::sample_distinct(&s, 400, &mut rng) {
-            let y = big_objective(&cfg);
-            history.push(cfg, y);
-        }
-        let budget = history.trials() + 32;
-        let opts = TunerOptions::default().with_seed(7);
-        let mut serial = Tuner::resume(big_space(), opts.clone(), history.clone());
-        serial.run_batch_fallible(budget, 4, |cfgs, _| {
-            cfgs.iter()
-                .map(|c| EvalOutcome::from_value(big_objective(c)))
-                .collect()
-        });
-        let mut piped = Tuner::resume(big_space(), opts, history);
-        piped.run_batch_pipelined(budget, 4, |cfgs, _| {
-            cfgs.iter()
-                .map(|c| EvalOutcome::from_value(big_objective(c)))
-                .collect()
-        });
-        assert_eq!(
-            history_fingerprint(&serial),
-            history_fingerprint(&piped),
-            "pipelined != serial"
-        );
-        let stats = piped.pipeline_stats();
-        assert!(stats.attempted > 0, "no speculation attempted");
-        assert!(
-            stats.committed > 0,
-            "CL-min speculation never committed: {stats:?}"
-        );
-        assert!(
-            stats.sweeps_skipped > 0,
-            "no pick adopted off the critical path: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn pipelined_run_is_bit_identical_to_serial_batch_proposal() {
-        let s = ParameterSpace::builder()
-            .param(ParamDef::new("x", Domain::continuous(0.0, 5.0)))
-            .param(ParamDef::new("y", Domain::continuous(-2.0, 2.0)))
-            .build()
-            .unwrap();
-        let objective = |c: &Configuration| {
-            let x = c.value(0).as_f64();
-            let y = c.value(1).as_f64();
-            (x - 3.2).powi(2) + (y - 0.5).powi(2) + 0.5
-        };
-        for batch in [1usize, 4] {
-            let opts = TunerOptions::default()
-                .with_seed(13)
-                .with_init_samples(8)
-                .with_strategy(SelectionStrategy::Proposal { candidates: 24 });
-            let mut serial = Tuner::new(s.clone(), opts.clone());
-            serial.run_batch_fallible(40, batch, |cfgs, _| {
-                cfgs.iter()
-                    .map(|c| EvalOutcome::from_value(objective(c)))
-                    .collect()
-            });
-            let mut piped = Tuner::new(s.clone(), opts);
-            piped.run_batch_pipelined(40, batch, |cfgs, _| {
-                cfgs.iter()
-                    .map(|c| EvalOutcome::from_value(objective(c)))
-                    .collect()
-            });
-            assert_eq!(
-                history_fingerprint(&serial),
-                history_fingerprint(&piped),
-                "pipelined != serial at batch {batch}"
-            );
-            if batch > 1 {
-                assert!(
-                    piped.pipeline_stats().attempted > 0,
-                    "no speculation attempted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_run_is_bit_identical_under_failures() {
-        // Every 5th trial fails: speculation rounds straddle quarantined
-        // failures and must still replay (or discard) exactly.
-        let eval = |cfgs: &[Configuration], base: u64| {
-            cfgs.iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if (base + i as u64) % 5 == 4 {
-                        EvalOutcome::Failed {
-                            reason: "transient".into(),
-                        }
-                    } else {
-                        EvalOutcome::from_value(big_objective(c))
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
-        let opts = TunerOptions::default().with_seed(17).with_init_samples(8);
-        let mut serial = Tuner::new(big_space(), opts.clone());
-        serial.run_batch_fallible(48, 4, eval);
-        let mut piped = Tuner::new(big_space(), opts);
-        piped.run_batch_pipelined(48, 4, eval);
-        assert_eq!(history_fingerprint(&serial), history_fingerprint(&piped));
-    }
-
-    #[test]
-    fn pipelined_run_matches_under_full_refit_mode() {
-        // Full surrogate mode has no incremental engine: speculation is
-        // skipped but the pipelined driver must still be bit-identical.
-        let opts = TunerOptions::default()
-            .with_seed(19)
-            .with_init_samples(8)
-            .with_surrogate_mode(SurrogateMode::Full);
-        let mut serial = Tuner::new(big_space(), opts.clone());
-        serial.run_batch_fallible(32, 4, |cfgs, _| {
-            cfgs.iter()
-                .map(|c| EvalOutcome::from_value(big_objective(c)))
-                .collect()
-        });
-        let mut piped = Tuner::new(big_space(), opts);
-        piped.run_batch_pipelined(32, 4, |cfgs, _| {
-            cfgs.iter()
-                .map(|c| EvalOutcome::from_value(big_objective(c)))
-                .collect()
-        });
-        assert_eq!(history_fingerprint(&serial), history_fingerprint(&piped));
-        assert_eq!(piped.pipeline_stats().attempted, 0);
     }
 }

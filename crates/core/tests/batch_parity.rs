@@ -1,11 +1,15 @@
 //! The batch engine's determinism contract, regression-pinned:
 //!
-//! - `run_batch_fallible(budget, 1, ..)` is **bit-identical** to the
-//!   serial `run_fallible(budget, ..)` — same history, same failures,
-//!   same best, same trace event sequence (timings excluded).
+//! - The k = 1 driver (`run_fallible`, and `run_batch_fallible(budget, 1,
+//!   ..)`) reproduces the recorded campaigns of the dedicated serial
+//!   driver it replaced — same history, same failures, same trace event
+//!   sequence (timings excluded), same next pick.
 //! - `suggest_batch(1)` is exactly `suggest()`.
 //! - Constant-liar fantasies never leak into the real history.
 
+mod common;
+
+use common::{assert_reproduces, SerialReference};
 use hiperbot_core::{EvalOutcome, Tuner, TunerOptions};
 use hiperbot_obs::MemoryRecorder;
 use hiperbot_space::{Configuration, Domain, ParamDef, ParameterSpace};
@@ -49,35 +53,6 @@ fn tuner(seed: u64) -> Tuner {
     )
 }
 
-/// Zeroes the digits after every `"<key>":` occurrence, so serialized
-/// events compare structurally (wall-clock timings are never bit-stable).
-fn scrub_field(line: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let mut out = String::with_capacity(line.len());
-    let mut rest = line;
-    while let Some(at) = rest.find(&needle) {
-        let after = at + needle.len();
-        out.push_str(&rest[..after]);
-        out.push('0');
-        rest = rest[after..].trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
-
-/// Serializes events with every wall-clock field zeroed, so two runs can
-/// be compared structurally.
-fn normalized_events(recorder: &MemoryRecorder) -> Vec<String> {
-    recorder
-        .events()
-        .iter()
-        .map(|e| {
-            let line = serde_json::to_string(e).unwrap();
-            scrub_field(&scrub_field(&line, "elapsed_ns"), "backoff_ns")
-        })
-        .collect()
-}
-
 /// The full observable state of a finished run, for equality assertions.
 fn fingerprint(t: &Tuner) -> (Vec<String>, Vec<f64>, Vec<String>, usize) {
     let configs = t
@@ -100,32 +75,178 @@ fn fingerprint(t: &Tuner) -> (Vec<String>, Vec<f64>, Vec<String>, usize) {
     )
 }
 
+/// `run_fallible(40, fallible)` on `tuner(seed)` under the dedicated
+/// serial driver, one entry per seed.
+#[rustfmt::skip]
+const SERIAL_REFERENCE: [SerialReference; 3] = [
+    SerialReference {
+        seed: 3,
+        trials: 40,
+        failures: 4,
+        stalls: 0,
+        objective_bits: &[
+            0x4027000000000000, 0x4032800000000000, 0x401a000000000000, 0x4024000000000000,
+            0x403a800000000000, 0x4032000000000000, 0x4035800000000000, 0x4008000000000000,
+            0x401c000000000000, 0x4010000000000000, 0x4014000000000000, 0x4010000000000000,
+            0x4014000000000000, 0x4028000000000000, 0x3ff0000000000000, 0x3ff8000000000000,
+            0x4031000000000000, 0x4004000000000000, 0x4025000000000000, 0x4000000000000000,
+            0x4026000000000000, 0x4031800000000000, 0x4010000000000000, 0x4004000000000000,
+            0x4000000000000000, 0x4014000000000000, 0x4024000000000000, 0x4032800000000000,
+            0x4027000000000000, 0x4031000000000000, 0x4004000000000000, 0x4000000000000000,
+            0x4008000000000000, 0x4000000000000000, 0x4008000000000000, 0x4004000000000000,
+        ],
+        configs: &[
+            "[Index(3), Index(4), Index(3)]", "[Index(3), Index(5), Index(1)]", "[Index(3), Index(3), Index(1)]",
+            "[Index(1), Index(1), Index(2)]", "[Index(1), Index(5), Index(3)]", "[Index(0), Index(2), Index(2)]",
+            "[Index(0), Index(3), Index(1)]", "[Index(4), Index(1), Index(0)]", "[Index(4), Index(3), Index(0)]",
+            "[Index(5), Index(1), Index(0)]", "[Index(5), Index(0), Index(0)]", "[Index(4), Index(2), Index(0)]",
+            "[Index(5), Index(2), Index(0)]", "[Index(4), Index(4), Index(0)]", "[Index(4), Index(1), Index(2)]",
+            "[Index(4), Index(1), Index(3)]", "[Index(0), Index(1), Index(2)]", "[Index(4), Index(0), Index(3)]",
+            "[Index(4), Index(4), Index(3)]", "[Index(4), Index(0), Index(2)]", "[Index(1), Index(0), Index(2)]",
+            "[Index(4), Index(5), Index(3)]", "[Index(4), Index(0), Index(0)]", "[Index(4), Index(2), Index(3)]",
+            "[Index(4), Index(2), Index(2)]", "[Index(4), Index(3), Index(2)]", "[Index(4), Index(4), Index(2)]",
+            "[Index(0), Index(2), Index(3)]", "[Index(1), Index(0), Index(3)]", "[Index(4), Index(5), Index(2)]",
+            "[Index(4), Index(0), Index(1)]", "[Index(3), Index(1), Index(2)]", "[Index(3), Index(2), Index(2)]",
+            "[Index(5), Index(1), Index(2)]", "[Index(5), Index(0), Index(2)]", "[Index(3), Index(1), Index(3)]",
+        ],
+        trace_fnv: 0xb5bc770524ef32ee,
+        next_suggestion: Some("[Index(5), Index(2), Index(2)]"),
+    },
+    SerialReference {
+        seed: 11,
+        trials: 40,
+        failures: 4,
+        stalls: 0,
+        objective_bits: &[
+            0x4004000000000000, 0x4024000000000000, 0x4032800000000000, 0x403a000000000000,
+            0x4027000000000000, 0x4008000000000000, 0x4010000000000000, 0x400c000000000000,
+            0x401a000000000000, 0x402a000000000000, 0x4004000000000000, 0x4004000000000000,
+            0x4016000000000000, 0x4004000000000000, 0x403a800000000000, 0x4004000000000000,
+            0x4034000000000000, 0x4016000000000000, 0x4032800000000000, 0x4010000000000000,
+            0x4032800000000000, 0x3ff8000000000000, 0x4025000000000000, 0x4010000000000000,
+            0x4000000000000000, 0x4004000000000000, 0x4018000000000000, 0x3ff0000000000000,
+            0x4031000000000000, 0x4000000000000000, 0x4026000000000000, 0x4032000000000000,
+            0x4008000000000000, 0x4008000000000000, 0x4004000000000000, 0x4014000000000000,
+        ],
+        configs: &[
+            "[Index(4), Index(2), Index(1)]", "[Index(1), Index(1), Index(2)]", "[Index(0), Index(2), Index(1)]",
+            "[Index(1), Index(5), Index(2)]", "[Index(1), Index(2), Index(3)]", "[Index(3), Index(2), Index(2)]",
+            "[Index(4), Index(0), Index(0)]", "[Index(3), Index(2), Index(1)]", "[Index(5), Index(3), Index(1)]",
+            "[Index(3), Index(4), Index(0)]", "[Index(4), Index(2), Index(3)]", "[Index(4), Index(0), Index(3)]",
+            "[Index(4), Index(3), Index(3)]", "[Index(4), Index(0), Index(1)]", "[Index(0), Index(4), Index(1)]",
+            "[Index(5), Index(1), Index(1)]", "[Index(0), Index(2), Index(0)]", "[Index(4), Index(3), Index(1)]",
+            "[Index(5), Index(5), Index(1)]", "[Index(4), Index(2), Index(0)]", "[Index(0), Index(0), Index(1)]",
+            "[Index(4), Index(1), Index(1)]", "[Index(1), Index(1), Index(1)]", "[Index(3), Index(1), Index(0)]",
+            "[Index(5), Index(1), Index(2)]", "[Index(5), Index(1), Index(3)]", "[Index(5), Index(3), Index(2)]",
+            "[Index(4), Index(1), Index(2)]", "[Index(0), Index(1), Index(2)]", "[Index(3), Index(1), Index(2)]",
+            "[Index(3), Index(4), Index(2)]", "[Index(3), Index(5), Index(2)]", "[Index(4), Index(1), Index(0)]",
+            "[Index(5), Index(0), Index(2)]", "[Index(3), Index(1), Index(1)]", "[Index(4), Index(3), Index(2)]",
+        ],
+        trace_fnv: 0x98aa5cebb2620505,
+        next_suggestion: Some("[Index(4), Index(1), Index(3)]"),
+    },
+    SerialReference {
+        seed: 42,
+        trials: 40,
+        failures: 3,
+        stalls: 0,
+        objective_bits: &[
+            0x4027000000000000, 0x4035000000000000, 0x4027000000000000, 0x4010000000000000,
+            0x4031800000000000, 0x402d000000000000, 0x4016000000000000, 0x3ff8000000000000,
+            0x4033000000000000, 0x4004000000000000, 0x400c000000000000, 0x4000000000000000,
+            0x4026000000000000, 0x4004000000000000, 0x3ff0000000000000, 0x4031000000000000,
+            0x4031000000000000, 0x4024000000000000, 0x4000000000000000, 0x4008000000000000,
+            0x4000000000000000, 0x4025000000000000, 0x4008000000000000, 0x4014000000000000,
+            0x4004000000000000, 0x4000000000000000, 0x4031800000000000, 0x4008000000000000,
+            0x4008000000000000, 0x4008000000000000, 0x4024000000000000, 0x3ff8000000000000,
+            0x4004000000000000, 0x4004000000000000, 0x4004000000000000, 0x4004000000000000,
+            0x4032000000000000,
+        ],
+        configs: &[
+            "[Index(1), Index(0), Index(3)]", "[Index(0), Index(3), Index(2)]", "[Index(5), Index(4), Index(3)]",
+            "[Index(4), Index(2), Index(0)]", "[Index(0), Index(1), Index(3)]", "[Index(1), Index(3), Index(3)]",
+            "[Index(4), Index(3), Index(1)]", "[Index(4), Index(1), Index(1)]", "[Index(4), Index(5), Index(0)]",
+            "[Index(3), Index(1), Index(1)]", "[Index(3), Index(0), Index(1)]", "[Index(3), Index(1), Index(2)]",
+            "[Index(3), Index(4), Index(2)]", "[Index(5), Index(1), Index(1)]", "[Index(4), Index(1), Index(2)]",
+            "[Index(4), Index(5), Index(2)]", "[Index(0), Index(1), Index(2)]", "[Index(1), Index(1), Index(2)]",
+            "[Index(4), Index(0), Index(2)]", "[Index(3), Index(0), Index(2)]", "[Index(4), Index(2), Index(2)]",
+            "[Index(4), Index(4), Index(1)]", "[Index(3), Index(2), Index(2)]", "[Index(4), Index(3), Index(2)]",
+            "[Index(4), Index(0), Index(1)]", "[Index(5), Index(1), Index(2)]", "[Index(4), Index(5), Index(1)]",
+            "[Index(5), Index(2), Index(2)]", "[Index(5), Index(0), Index(2)]", "[Index(4), Index(1), Index(0)]",
+            "[Index(4), Index(4), Index(2)]", "[Index(4), Index(1), Index(3)]", "[Index(5), Index(1), Index(3)]",
+            "[Index(4), Index(2), Index(3)]", "[Index(3), Index(1), Index(3)]", "[Index(4), Index(0), Index(3)]",
+            "[Index(0), Index(2), Index(2)]",
+        ],
+        trace_fnv: 0xb6f593fcf9a1a7eb,
+        next_suggestion: Some("[Index(5), Index(1), Index(0)]"),
+    },
+];
+
 #[test]
 fn batch_of_one_is_bit_identical_to_the_serial_tuner() {
-    for seed in [3u64, 11, 42] {
+    for reference in &SERIAL_REFERENCE {
         let serial_rec = Arc::new(MemoryRecorder::new());
-        let mut serial = tuner(seed).with_recorder(serial_rec.clone());
-        let serial_best = serial.run_fallible(40, fallible);
+        let mut serial = tuner(reference.seed).with_recorder(serial_rec.clone());
+        let serial_best = serial.run_fallible(40, fallible).unwrap();
+        assert_eq!(serial_best.evaluations, reference.trials);
+        assert_reproduces(&mut serial, &serial_rec, reference);
 
         let batch_rec = Arc::new(MemoryRecorder::new());
-        let mut batch = tuner(seed).with_recorder(batch_rec.clone());
-        let batch_best =
-            batch.run_batch_fallible(40, 1, |cfgs, _base| cfgs.iter().map(fallible).collect());
-
-        assert_eq!(fingerprint(&serial), fingerprint(&batch), "seed {seed}");
-        let (s, b) = (serial_best.unwrap(), batch_best.unwrap());
-        assert_eq!(s.config, b.config, "seed {seed}");
-        assert_eq!(s.objective, b.objective, "seed {seed}");
-        assert_eq!(s.evaluations, b.evaluations, "seed {seed}");
-        assert_eq!(
-            normalized_events(&serial_rec),
-            normalized_events(&batch_rec),
-            "seed {seed}: traces must match event-for-event"
-        );
-        // And the *next* suggestion agrees too: the surrogate states are
-        // interchangeable, not just the summaries.
-        assert_eq!(serial.suggest(), batch.suggest(), "seed {seed}");
+        let mut batch = tuner(reference.seed).with_recorder(batch_rec.clone());
+        batch.run_batch_fallible(40, 1, |cfgs, _base| cfgs.iter().map(fallible).collect());
+        assert_reproduces(&mut batch, &batch_rec, reference);
     }
+}
+
+/// A run whose first five evaluations crash, under the dedicated serial
+/// driver: the 3-sample bootstrap fails, so trials 3 and 4 come from
+/// uniform recovery restarts (and fail too) before trial 5 recovers.
+#[rustfmt::skip]
+const RECOVERY_REFERENCE: SerialReference = SerialReference {
+    seed: 5,
+    trials: 20,
+    failures: 5,
+    stalls: 0,
+    objective_bits: &[
+        0x4032000000000000, 0x4034000000000000, 0x4032000000000000, 0x4018000000000000,
+        0x401a000000000000, 0x4018000000000000, 0x4014000000000000, 0x4028000000000000,
+        0x4016000000000000, 0x3ff8000000000000, 0x3ff8000000000000, 0x4016000000000000,
+        0x3ff0000000000000, 0x4031800000000000, 0x4004000000000000,
+    ],
+    configs: &[
+        "[Index(0), Index(2), Index(2)]", "[Index(0), Index(2), Index(0)]", "[Index(0), Index(0), Index(2)]",
+        "[Index(2), Index(2), Index(2)]", "[Index(2), Index(2), Index(1)]", "[Index(2), Index(0), Index(2)]",
+        "[Index(2), Index(1), Index(2)]", "[Index(1), Index(1), Index(0)]", "[Index(2), Index(1), Index(1)]",
+        "[Index(4), Index(1), Index(1)]", "[Index(4), Index(1), Index(3)]", "[Index(4), Index(3), Index(3)]",
+        "[Index(4), Index(1), Index(2)]", "[Index(4), Index(5), Index(1)]", "[Index(5), Index(1), Index(3)]",
+    ],
+    trace_fnv: 0x23da51164e502281,
+    next_suggestion: Some("[Index(4), Index(0), Index(1)]"),
+};
+
+#[test]
+fn all_failure_recovery_matches_the_serial_driver() {
+    let rec = Arc::new(MemoryRecorder::new());
+    let mut t = Tuner::new(
+        space(),
+        TunerOptions::default()
+            .with_seed(RECOVERY_REFERENCE.seed)
+            .with_init_samples(3),
+    )
+    .with_recorder(rec.clone());
+    let mut calls = 0usize;
+    t.run_fallible(20, |cfg| {
+        calls += 1;
+        if calls <= 5 {
+            EvalOutcome::Failed {
+                reason: "warm-up crash".to_string(),
+            }
+        } else {
+            EvalOutcome::Ok(objective(cfg))
+        }
+    })
+    .unwrap();
+    assert_reproduces(&mut t, &rec, &RECOVERY_REFERENCE);
 }
 
 #[test]
