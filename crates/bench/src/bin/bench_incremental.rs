@@ -10,20 +10,13 @@
 //!   [`IncrementalSurrogate`]: one observe + one pop (the constant-liar
 //!   fantasy cycle), timed as a pair and halved.
 //!
-//! Plus the end-to-end constant-liar overhead: ns per pick of
-//! `suggest_batch(8)` in `SurrogateMode::Incremental` vs
-//! `SurrogateMode::Full` at each history size — the incremental per-pick
-//! cost should stay flat (sub-linear) as the history grows, while the
-//! full-refit per-pick cost grows with it.
-//!
 //! Bit-identity is re-asserted in-bench (`assert_parity` at every history
 //! size) before anything is timed. Run with
 //! `cargo run --release -p hiperbot-bench --bin bench_incremental`.
 
 use hiperbot_bench::{host_meta, pin_threads, write_bench_json, HostMeta};
-use hiperbot_core::surrogate::{FitScratch, SurrogateMode, SurrogateOptions, TpeSurrogate};
-use hiperbot_core::{IncrementalSurrogate, ObservationHistory, Tuner, TunerOptions};
-use hiperbot_obs::MetricsRegistry;
+use hiperbot_core::surrogate::{FitScratch, SurrogateOptions, TpeSurrogate};
+use hiperbot_core::IncrementalSurrogate;
 use hiperbot_space::{Configuration, Domain, ParamDef, ParameterSpace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -31,7 +24,6 @@ use std::time::Instant;
 
 const TRIALS: usize = 9;
 const HISTORY_SIZES: [usize; 3] = [100, 1_000, 10_000];
-const BATCH: usize = 8;
 
 /// A 6-parameter discrete space: 8·7·6·5·4·4 = 26 880 configurations,
 /// comfortably larger than the biggest measured history.
@@ -92,22 +84,12 @@ struct RefitResult {
 }
 
 #[derive(Debug, serde::Serialize)]
-struct BatchResult {
-    history_len: usize,
-    batch: usize,
-    full_ns_per_pick: f64,
-    incremental_ns_per_pick: f64,
-    speedup: f64,
-}
-
-#[derive(Debug, serde::Serialize)]
 struct Report {
     bench: String,
     host: HostMeta,
     trials: usize,
     pool_size: usize,
     refits: Vec<RefitResult>,
-    suggest_batch: Vec<BatchResult>,
 }
 
 fn measure_refit(
@@ -170,60 +152,18 @@ fn measure_refit(
     r
 }
 
-fn measure_suggest_batch(
-    space: &ParameterSpace,
-    configs: &[Configuration],
-    objectives: &[f64],
-) -> BatchResult {
-    let n = configs.len();
-    let mut per_mode = [0.0f64; 2];
-    for (slot, mode) in [SurrogateMode::Full, SurrogateMode::Incremental]
-        .into_iter()
-        .enumerate()
-    {
-        let mut history = ObservationHistory::new();
-        for (c, &y) in configs.iter().zip(objectives) {
-            history.push(c.clone(), y);
-        }
-        let options = TunerOptions::default()
-            .with_init_samples(n)
-            .with_surrogate_mode(mode);
-        let mut tuner = Tuner::resume(space.clone(), options, history);
-        tuner.suggest_batch(BATCH); // warm up: pool build + first engine sync
-        let inner = (400_000 / n.max(1)).clamp(1, 50);
-        per_mode[slot] = median_ns(inner, || {
-            std::hint::black_box(tuner.suggest_batch(BATCH));
-        }) / BATCH as f64;
-    }
-    let r = BatchResult {
-        history_len: n,
-        batch: BATCH,
-        full_ns_per_pick: per_mode[0],
-        incremental_ns_per_pick: per_mode[1],
-        speedup: per_mode[0] / per_mode[1],
-    };
-    println!(
-        "history {:>6} | suggest_batch({}) full {:>10.0} ns/pick | incremental {:>10.0} ns/pick | {:>6.1}x",
-        r.history_len, r.batch, r.full_ns_per_pick, r.incremental_ns_per_pick, r.speedup
-    );
-    r
-}
-
 fn main() {
     pin_threads();
-    let _registry = MetricsRegistry::new();
     eprintln!("[bench_incremental] enumerating + shuffling the pool…");
     let space = bench_space();
     let pool = shuffled_pool(&space);
     let objectives: Vec<f64> = pool.iter().map(objective).collect();
 
     let mut refits = Vec::new();
-    let mut suggest = Vec::new();
     for &n in &HISTORY_SIZES {
         let (configs, rest) = pool.split_at(n);
         let probes = &rest[..256];
         refits.push(measure_refit(&space, configs, &objectives[..n], probes));
-        suggest.push(measure_suggest_batch(&space, configs, &objectives[..n]));
     }
 
     let report = Report {
@@ -232,7 +172,6 @@ fn main() {
         trials: TRIALS,
         pool_size: pool.len(),
         refits,
-        suggest_batch: suggest,
     };
     write_bench_json("BENCH_incremental.json", &report);
 }

@@ -16,10 +16,10 @@
 //! 4. Evaluate the true objective on the winner, append to the history,
 //!    and repeat ([`tuner`]).
 //!
-//! Step 2 is served by a persistent [`incremental`] engine by default:
+//! Under Ranking, step 2 is served by a persistent [`incremental`] engine:
 //! instead of re-fitting from scratch each iteration, it absorbs each new
 //! observation in O(log n + churn) while staying bit-identical to the
-//! from-scratch fit (`--surrogate full` restores the old path).
+//! from-scratch fit, which Proposal still uses.
 //!
 //! Two extensions close the loop with the paper's later sections:
 //! [`transfer`] mixes source-domain densities in as a weighted prior

@@ -13,13 +13,13 @@
 //!
 //! Ranking is the per-iteration hot path (pools reach 17 815 configs for
 //! Kripke energy, swept once per iteration per repetition), so it runs on
-//! the batch-scoring engine: a [`ScoreTable`] of precomputed per-value
+//! the batch-scoring engine: a [`ScoreTable`](crate::surrogate::ScoreTable) of precomputed per-value
 //! scores, a [`PoolEncoding`] flattening the pool into a contiguous index
 //! buffer, and a [`PoolMask`] marking seen pool positions — reduced by a
 //! rayon-chunked argmax. See [`rank_encoded`] for the determinism contract.
 
 use crate::history::ObservationHistory;
-use crate::surrogate::{CandidateMatrix, ScoreTable, TpeSurrogate};
+use crate::surrogate::{CandidateMatrix, TpeSurrogate};
 use hiperbot_space::pool::{IndexBuffer, PoolEncoding, PoolIndex, PoolMask};
 use hiperbot_space::{Configuration, ParameterSpace};
 use rayon::prelude::*;
@@ -117,96 +117,13 @@ pub fn rank_encoded(tables: &[&[f64]], encoding: &PoolEncoding, seen: &PoolMask)
     best.map(|(_, c)| c)
 }
 
-/// Selects the next configuration by exhaustive ranking over `pool`,
-/// skipping configurations already in `history`. Returns `None` when the
-/// pool is exhausted.
-///
-/// **Tie-breaking contract:** among equal-scoring unseen candidates the one
-/// at the lowest pool index is selected (see [`rank_encoded`]); this held
-/// implicitly in the original serial loop and is now guaranteed under
-/// parallel execution too.
-///
-/// This standalone entry point re-derives the seen set from `history` by
-/// hashing each pool member once; [`Tuner`](crate::tuner::Tuner) keeps a
-/// [`PoolMask`] incrementally instead and skips that pass.
-pub fn select_by_ranking(
-    surrogate: &TpeSurrogate,
-    pool: &[Configuration],
-    history: &ObservationHistory,
-) -> Option<Configuration> {
-    let table = surrogate.score_table();
-    if let (Some(tables), Some(encoding)) = (table.discrete_tables(), PoolEncoding::encode(pool)) {
-        let mut seen = PoolMask::new(pool.len());
-        for (i, cfg) in pool.iter().enumerate() {
-            if history.contains(cfg) {
-                seen.set(i);
-            }
-        }
-        return rank_encoded(&tables, &encoding, &seen).map(|i| pool[i].clone());
-    }
-    // Exact fallback for pools the engine cannot flatten (continuous
-    // values); same scores, same lowest-index tie-breaking.
-    select_by_ranking_serial(&table, pool, history)
-}
-
-/// The serial reference path: per-candidate table scoring with
-/// per-candidate history hashing. Kept as the fallback for unencodable
-/// pools and as the oracle the parallel path is property-tested against.
-pub fn select_by_ranking_serial(
-    table: &ScoreTable,
-    pool: &[Configuration],
-    history: &ObservationHistory,
-) -> Option<Configuration> {
-    let mut best: Option<(f64, &Configuration)> = None;
-    for cfg in pool {
-        if history.contains(cfg) {
-            continue;
-        }
-        let score = table.score(cfg);
-        match best {
-            Some((s, _)) if s >= score => {}
-            _ => best = Some((score, cfg)),
-        }
-    }
-    best.map(|(_, c)| c.clone())
-}
-
-/// Selects the next configuration by proposal sampling: draw `candidates`
-/// feasible configurations from `p_g`, score each, return the best unseen
-/// one (falls back to the best seen-before draw only if every draw
-/// duplicates history — callers treat that as exploration noise).
-pub fn select_by_proposal<R: rand::Rng + ?Sized>(
-    surrogate: &TpeSurrogate,
-    space: &ParameterSpace,
-    history: &ObservationHistory,
-    candidates: usize,
-    rng: &mut R,
-) -> Configuration {
-    assert!(candidates > 0, "need at least one candidate");
-    let mut best_unseen: Option<(f64, Configuration)> = None;
-    let mut best_any: Option<(f64, Configuration)> = None;
-    for _ in 0..candidates {
-        let cfg = surrogate.sample_good(space, rng);
-        let score = surrogate.log_ei(&cfg);
-        if best_any.as_ref().is_none_or(|(s, _)| score > *s) {
-            best_any = Some((score, cfg.clone()));
-        }
-        if !history.contains(&cfg) && best_unseen.as_ref().is_none_or(|(s, _)| score > *s) {
-            best_unseen = Some((score, cfg));
-        }
-    }
-    best_unseen
-        .or(best_any)
-        .map(|(_, c)| c)
-        .expect("candidates > 0 guarantees a draw")
-}
-
 /// Extra redraw rounds the vectorized Proposal selector spends hunting for
 /// an unseen candidate before conceding a duplicate stall. Each round
 /// samples and scores a fresh candidate matrix *inside* the selection (no
 /// surrogate refit), so a round costs a fraction of the full
 /// fit-suggest-skip iteration a tuner-level stall burns. Zero rounds
-/// reproduces the scalar [`select_by_proposal`] behavior exactly.
+/// reproduces the scalar sample-then-score loop exactly (the reference
+/// `select_by_proposal` in `tests/common/oracle.rs`).
 pub const PROPOSAL_REDRAW_ROUNDS: usize = 3;
 
 /// Reusable buffers for the vectorized Proposal selector: the SoA
@@ -241,13 +158,14 @@ pub struct ProposalPick {
 /// into a structure-of-arrays matrix, scores them with the batched
 /// bit-identical `log_ei` kernel, and picks the best unseen draw with the
 /// lowest-draw-index tie-break (first strict maximum in draw order — the
-/// same winner the scalar [`select_by_proposal`] loop keeps).
+/// same winner the scalar reference loop in `tests/common/oracle.rs`
+/// keeps).
 ///
 /// When a round contains no unseen candidate, up to `redraw_rounds`
 /// additional sample+score rounds run before the selector concedes and
 /// returns the best seen draw with `duplicate: true`. With
-/// `redraw_rounds = 0` the function consumes exactly the RNG draws of the
-/// scalar path and returns its exact pick.
+/// `redraw_rounds = 0` the function consumes exactly the RNG draws of that
+/// scalar loop and returns its exact pick.
 ///
 /// `extra_seen` extends the duplicate check beyond evaluated history —
 /// the constant-liar batch path passes its in-flight picks so one batch
@@ -338,6 +256,48 @@ mod tests {
         (sur, history)
     }
 
+    /// The Ranking argmax over `pool`, skipping configurations in
+    /// `history`: [`rank_encoded`] on the surrogate's score table.
+    fn rank(
+        surrogate: &TpeSurrogate,
+        pool: &[Configuration],
+        history: &ObservationHistory,
+    ) -> Option<Configuration> {
+        let table = surrogate.score_table();
+        let tables = table.discrete_tables().expect("fully discrete");
+        let encoding = PoolEncoding::encode(pool).expect("encodable");
+        let mut seen = PoolMask::new(pool.len());
+        for (i, cfg) in pool.iter().enumerate() {
+            if history.contains(cfg) {
+                seen.set(i);
+            }
+        }
+        rank_encoded(&tables, &encoding, &seen).map(|i| pool[i].clone())
+    }
+
+    /// One scalar-equivalent Proposal pick: no redraw rounds, no
+    /// in-flight picks.
+    fn propose<R: rand::Rng>(
+        surrogate: &TpeSurrogate,
+        space: &ParameterSpace,
+        history: &ObservationHistory,
+        candidates: usize,
+        rng: &mut R,
+    ) -> Configuration {
+        let mut scratch = ProposalScratch::default();
+        select_by_proposal_vectorized(
+            surrogate,
+            space,
+            history,
+            None,
+            candidates,
+            0,
+            rng,
+            &mut scratch,
+        )
+        .config
+    }
+
     #[test]
     fn ranking_picks_best_unseen() {
         let s = space();
@@ -345,7 +305,7 @@ mod tests {
         let pool = s.enumerate();
         // a=0 scores best but is seen; a=1 is the best unseen (unseen values
         // score between good and bad under smoothing).
-        let pick = select_by_ranking(&sur, &pool, &history).unwrap();
+        let pick = rank(&sur, &pool, &history).unwrap();
         assert_eq!(pick, Configuration::from_indices(&[1]));
     }
 
@@ -363,7 +323,7 @@ mod tests {
             &SurrogateOptions::default(),
             None,
         );
-        assert!(select_by_ranking(&sur, &s.enumerate(), &history).is_none());
+        assert!(rank(&sur, &s.enumerate(), &history).is_none());
     }
 
     #[test]
@@ -375,7 +335,7 @@ mod tests {
         for c in history.configs() {
             seen.insert(c.clone());
         }
-        while let Some(pick) = select_by_ranking(&sur, &pool, &history) {
+        while let Some(pick) = rank(&sur, &pool, &history) {
             assert!(seen.insert(pick.clone()), "duplicate selection {pick:?}");
             history.push(pick, 5.0);
         }
@@ -419,19 +379,8 @@ mod tests {
         // (0,0) is seen; a=0 is the observed-good value, so the best unseen
         // candidates are (0,1), (0,2), (0,3) — all tied. The lowest pool
         // index among them is (0,1).
-        let pick = select_by_ranking(&sur, &pool, &history).unwrap();
+        let pick = rank(&sur, &pool, &history).unwrap();
         assert_eq!(pick, Configuration::from_indices(&[0, 1]));
-    }
-
-    #[test]
-    fn rank_encoded_matches_the_serial_oracle() {
-        let s = space();
-        let (sur, history) = surrogate_preferring_a0(&s);
-        let pool = s.enumerate();
-        let table = sur.score_table();
-        let serial = select_by_ranking_serial(&table, &pool, &history);
-        let parallel = select_by_ranking(&sur, &pool, &history);
-        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -453,7 +402,7 @@ mod tests {
         let (sur, history) = surrogate_preferring_a0(&s);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         for _ in 0..50 {
-            let pick = select_by_proposal(&sur, &s, &history, 16, &mut rng);
+            let pick = propose(&sur, &s, &history, 16, &mut rng);
             assert!(s.is_feasible(&pick));
         }
     }
@@ -468,8 +417,7 @@ mod tests {
         // the known-good value a=0.
         let hits = (0..100)
             .filter(|_| {
-                select_by_proposal(&sur, &s, &empty, 32, &mut rng)
-                    == Configuration::from_indices(&[0])
+                propose(&sur, &s, &empty, 32, &mut rng) == Configuration::from_indices(&[0])
             })
             .count();
         assert!(hits > 90, "picked a=0 only {hits}/100 times");

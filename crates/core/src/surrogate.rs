@@ -41,22 +41,18 @@ impl Default for SurrogateOptions {
     }
 }
 
-/// Which fit engine the tuner uses for Ranking-strategy suggestions.
-///
-/// `Incremental` (the default) maintains a persistent
-/// [`IncrementalSurrogate`](crate::incremental::IncrementalSurrogate) that
-/// absorbs each new observation in O(log n + churn) instead of re-fitting
-/// from scratch every iteration; `Full` is the from-scratch escape hatch.
-/// The two modes produce **bit-identical** suggestions, histories, and
-/// traces — the incremental engine's contract, enforced by debug-assert
-/// parity checks and the property suite in `tests/incremental_parity.rs`.
+/// The Ranking fit engine. There is one: the persistent
+/// [`IncrementalSurrogate`](crate::incremental::IncrementalSurrogate),
+/// which absorbs each new observation in O(log n + churn) and stays
+/// bit-identical to a from-scratch fit (debug-build parity checks and
+/// `tests/incremental_parity.rs` enforce that). The type and
+/// [`TunerOptions::with_surrogate_mode`](crate::tuner::TunerOptions::with_surrogate_mode)
+/// are kept only so existing callers compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SurrogateMode {
-    /// Persistent O(churn) delta-maintained surrogate (default).
+    /// Persistent O(churn) delta-maintained surrogate.
     #[default]
     Incremental,
-    /// From-scratch re-fit every iteration (the pre-engine behavior).
-    Full,
 }
 
 /// Reusable scratch buffers for the continuous-parameter KDE assembly in

@@ -88,10 +88,6 @@ pub struct TunerOptions {
     pub seed: u64,
     /// Optional transfer-learning prior with its mixture weight `w`.
     pub prior: Option<(TransferPrior, f64)>,
-    /// How Ranking-strategy surrogate fits are maintained: a persistent
-    /// O(churn) incremental engine (default) or a from-scratch refit per
-    /// iteration. Bit-identical by contract; Proposal mode always refits.
-    pub surrogate_mode: SurrogateMode,
 }
 
 impl Default for TunerOptions {
@@ -105,7 +101,6 @@ impl Default for TunerOptions {
             bandwidth_fraction: 0.10,
             seed: 0,
             prior: None,
-            surrogate_mode: SurrogateMode::default(),
         }
     }
 }
@@ -147,23 +142,25 @@ impl TunerOptions {
         self
     }
 
-    /// Sets the surrogate maintenance mode.
-    pub fn with_surrogate_mode(mut self, mode: SurrogateMode) -> Self {
-        self.surrogate_mode = mode;
+    /// Returns `self` unchanged: the incremental engine is the only Ranking
+    /// fit path. Kept only so existing callers compile.
+    pub fn with_surrogate_mode(self, _mode: SurrogateMode) -> Self {
         self
     }
 
     /// Human-readable one-line summary, stamped into trace run headers.
     pub fn summary(&self) -> String {
+        // The constant ` surrogate=Incremental` token stays: the summary is
+        // part of the run identity in trace `RunHeader`s and checkpoint
+        // `options`, so traces and snapshots of earlier runs still validate.
         format!(
-            "strategy={:?} alpha={} init_samples={} init_design={:?} pseudo_count={} bandwidth_fraction={} surrogate={:?}{}",
+            "strategy={:?} alpha={} init_samples={} init_design={:?} pseudo_count={} bandwidth_fraction={} surrogate=Incremental{}",
             self.strategy,
             self.alpha,
             self.init_samples,
             self.init_design,
             self.pseudo_count,
             self.bandwidth_fraction,
-            self.surrogate_mode,
             if self.prior.is_some() { " prior=yes" } else { "" },
         )
     }
@@ -242,7 +239,7 @@ impl RankingPool {
     }
 }
 
-/// History plus the constant-liar fantasies of one from-scratch batch
+/// History plus the constant-liar fantasies of one Proposal batch
 /// suggestion. Pick 0 fits on the history slices directly; the copy is made
 /// only when the first fantasy is pushed, so a batch of one never clones
 /// the history.
@@ -285,14 +282,13 @@ pub struct Tuner {
     /// and never touches `rng`, so traced and untraced runs are
     /// bit-identical for the same seed.
     recorder: Arc<dyn Recorder>,
-    /// Persistent incremental surrogate (Ranking + `SurrogateMode::Incremental`
-    /// only; built lazily on the first model-driven suggestion). Fantasy
-    /// observations pushed during batch suggestion are always popped before
-    /// the suggesting call returns, so between calls the engine mirrors
-    /// `history` exactly.
+    /// Persistent incremental surrogate (Ranking only; built lazily on the
+    /// first model-driven suggestion). Fantasy observations pushed during
+    /// batch suggestion are always popped before the suggesting call
+    /// returns, so between calls the engine mirrors `history` exactly.
     engine: Option<IncrementalSurrogate>,
-    /// Reused point/weight buffers for from-scratch KDE fits (the full-mode
-    /// and Proposal paths) — no per-fit allocations.
+    /// Reused point/weight buffers for the Proposal path's from-scratch KDE
+    /// fits — no per-fit allocations.
     fit_scratch: FitScratch,
     proposal_scratch: ProposalScratch,
     /// Prefix-cloned failure configurations, grown once per new failure
@@ -689,14 +685,6 @@ impl Tuner {
         }
     }
 
-    /// Whether model-driven suggestions run through the persistent
-    /// incremental engine (Ranking strategy only; Proposal mode samples
-    /// from the good KDE and keeps the from-scratch fit).
-    fn use_incremental(&self) -> bool {
-        self.options.surrogate_mode == SurrogateMode::Incremental
-            && self.options.strategy == SelectionStrategy::Ranking
-    }
-
     /// Brings the incremental engine up to date with the history: builds it
     /// on first use, then absorbs only the observations and failures
     /// appended since the previous sync — O(churn) per new entry instead of
@@ -905,16 +893,15 @@ impl Tuner {
     /// **constant-liar** batch selection (Ginsbourger et al.): the first
     /// pick is the plain Ranking argmax; after each pick a *fantasy
     /// observation* at the liar value — the good/bad threshold `y(τ)` of
-    /// the pre-batch fit — is appended to a scratch copy of the history,
-    /// the score table is refit over history + fantasies, and the argmax
-    /// repeats with the picked pool positions masked out. The fantasies
-    /// live only inside this call (they are evicted when it returns); real
-    /// outcomes are merged later by [`step_batch_fallible`](Self::step_batch_fallible).
+    /// the pre-batch fit — is pushed into the incremental surrogate, and
+    /// the argmax repeats with the picked pool positions masked out. The
+    /// fantasies live only inside this call (they are popped when it
+    /// returns); real outcomes are merged later by
+    /// [`step_batch_fallible`](Self::step_batch_fallible).
     ///
-    /// Each refit reuses the batch-scoring engine — the cached
-    /// [`PoolEncoding`] and an incrementally updated [`PoolMask`] — so the
-    /// `k` argmax sweeps stay vectorized; only the per-value score tables
-    /// are rebuilt per fantasy.
+    /// Each argmax sweeps the cached [`PoolEncoding`] against an
+    /// incrementally updated [`PoolMask`], so the `k` sweeps stay
+    /// vectorized; each fantasy only rescores the score columns it churns.
     ///
     /// With `k == 1` this is one fit and one argmax with the lowest pool
     /// index as tie-break — the serial tuner's decision, since serial
@@ -942,69 +929,7 @@ impl Tuner {
         if let SelectionStrategy::Proposal { candidates } = self.options.strategy {
             return self.suggest_batch_proposal(k, candidates);
         }
-        if self.use_incremental() {
-            return self.suggest_batch_incremental(k);
-        }
-        self.sync_failed_cache();
-        self.pool(); // build + sync once; the loop borrows it immutably
-        let pool = self.pool.as_ref().expect("just built");
-        let traced = self.recorder.enabled();
-        let base_iteration = self.history.trials() as u64;
-        let opts = self.surrogate_options();
-        let prior = self.options.prior.as_ref().map(|(p, w)| (p, *w));
-        let mut fantasies = FantasyTables::default();
-        let mut seen = pool.seen.clone();
-        let mut liar = 0.0;
-        let mut picks = Vec::with_capacity(k);
-        for i in 0..k {
-            let fit_timer = SpanTimer::start(traced);
-            let (configs, objectives) = fantasies.view(&self.history);
-            let surrogate = TpeSurrogate::fit_with_failures_scratch(
-                &self.space,
-                configs,
-                objectives,
-                &self.failed_cache,
-                &opts,
-                prior,
-                &mut self.fit_scratch,
-            );
-            if i == 0 {
-                // The constant liar: the pre-batch good-threshold objective.
-                liar = surrogate.threshold();
-            }
-            if let Some(elapsed_ns) = fit_timer.elapsed_ns() {
-                self.recorder.record(&Event::SurrogateFit {
-                    iteration: base_iteration + i as u64,
-                    n_good: surrogate.n_good() as u64,
-                    n_bad: surrogate.n_bad() as u64,
-                    threshold: surrogate.threshold(),
-                    elapsed_ns,
-                });
-            }
-            let select_timer = SpanTimer::start(traced);
-            let table = surrogate.score_table();
-            let tables = table
-                .discrete_tables()
-                .expect("Ranking requires a fully discrete space");
-            let Some(pos) = rank_encoded(&tables, &pool.encoding, &seen) else {
-                break; // pool exhausted mid-batch
-            };
-            let cfg = pool.configs[pos].clone();
-            if let Some(elapsed_ns) = select_timer.elapsed_ns() {
-                self.recorder.record(&Event::SelectionScored {
-                    iteration: base_iteration + i as u64,
-                    candidates: pool.configs.len() as u64,
-                    best_ei: surrogate.log_ei(&cfg),
-                    elapsed_ns,
-                });
-            }
-            seen.set(pos);
-            if i + 1 < k {
-                fantasies.push(&self.history, cfg.clone(), liar);
-            }
-            picks.push(cfg);
-        }
-        picks
+        self.suggest_batch_ranking(k)
     }
 
     /// Constant-liar batch suggestion for the **Proposal** strategy: every
@@ -1096,10 +1021,11 @@ impl Tuner {
     /// from-scratch refit over history + fantasies. All fantasies are
     /// popped (LIFO, exactly invertible) before returning, so the engine
     /// again mirrors the real history. Event sequence, picks, and liar
-    /// value are bit-identical to the full-refit path by the parity
-    /// contract; in debug builds that is re-verified against a full fit
-    /// after every fantasy push and after the pops.
-    fn suggest_batch_incremental(&mut self, k: usize) -> Vec<Configuration> {
+    /// value are bit-identical to refitting from scratch over history +
+    /// fantasies by the engine's parity contract; in debug builds that is
+    /// re-verified against a full fit after every sync, every fantasy push
+    /// and after the pops.
+    fn suggest_batch_ranking(&mut self, k: usize) -> Vec<Configuration> {
         let traced = self.recorder.enabled();
         let base_iteration = self.history.trials() as u64;
         let span = SpanTimer::start(self.metrics.is_some());

@@ -482,6 +482,32 @@ fn resume_rejects_identity_mismatches_with_clear_errors() {
         "names both sides: {err}"
     );
 
+    // A snapshot of a from-scratch-refit run, which the removed
+    // `--surrogate full` mode recorded as `surrogate=Full`.
+    let mut full = snap.clone();
+    full.options = snap
+        .options
+        .replace("surrogate=Incremental", "surrogate=Full");
+    assert_ne!(
+        full.options, snap.options,
+        "test premise: mode token present"
+    );
+    let err = Tuner::resume_from_checkpoint(space(), opts.clone(), &full)
+        .err()
+        .unwrap();
+    match &err {
+        CheckpointError::OptionsMismatch { expected, found } => {
+            assert_eq!(expected, &snap.options);
+            assert_eq!(found, &full.options);
+        }
+        other => panic!("expected OptionsMismatch, got {other:?}"),
+    }
+    let msg = err.to_string();
+    assert!(
+        msg.contains("surrogate=Incremental") && msg.contains("surrogate=Full"),
+        "names both sides: {msg}"
+    );
+
     // Structurally different space.
     let other = ParameterSpace::builder()
         .param(ParamDef::new("x", Domain::discrete_ints(&[0, 1, 2])))

@@ -9,6 +9,13 @@
 //! configurations, and an FNV-1a-64 digest of the normalized trace. The
 //! k = 1 driver must reproduce every field, so any drift from that
 //! algorithm fails here.
+//!
+//! [`oracle`] holds the from-scratch reference selectors.
+//!
+//! Every suite compiles this module but uses only part of it.
+#![allow(dead_code)]
+
+pub mod oracle;
 
 use hiperbot_core::Tuner;
 use hiperbot_obs::MemoryRecorder;

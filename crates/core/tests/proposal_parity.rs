@@ -1,7 +1,8 @@
 //! The vectorized Proposal engine's parity contracts, regression-pinned:
 //!
 //! - `select_by_proposal_vectorized` with zero redraw rounds is
-//!   **bit-identical** to the scalar `select_by_proposal` — same pick,
+//!   **bit-identical** to the scalar `select_by_proposal` oracle
+//!   (`common/oracle.rs`) — same pick,
 //!   same RNG cursor afterwards.
 //! - `log_ei_batch` scores carry the exact bits `log_ei` returns per
 //!   candidate, across random spaces, histories, and seeds.
@@ -17,10 +18,10 @@
 
 mod common;
 
+use common::oracle::select_by_proposal;
 use common::{assert_reproduces, SerialReference};
 use hiperbot_core::selection::{
-    select_by_proposal, select_by_proposal_vectorized, ProposalScratch, SelectionStrategy,
-    PROPOSAL_REDRAW_ROUNDS,
+    select_by_proposal_vectorized, ProposalScratch, SelectionStrategy, PROPOSAL_REDRAW_ROUNDS,
 };
 use hiperbot_core::surrogate::{CandidateMatrix, SurrogateOptions, TpeSurrogate};
 use hiperbot_core::{EvalOutcome, ObservationHistory, Tuner, TunerOptions};
