@@ -1,10 +1,12 @@
-//! Measures the Ranking hot path — serial per-candidate `log_ei` vs the
-//! batch-scoring engine — over the three measured pools and writes
+//! Measures the Ranking hot path — serial per-candidate `log_ei`, the
+//! batch-scoring sweep (`rank_encoded`) and the pool-trie branch and bound
+//! (`rank_trie`) — over the three measured pools and writes
 //! `BENCH_selection.json` at the workspace root.
 //!
 //! Per pool it reports the per-iteration ranking wall time of each path
 //! (median of `TRIALS` timed runs, each averaging `inner` rankings), the
-//! batch engine's ns-per-candidate-score, and the speedup. Timings flow
+//! sweep's ns-per-candidate-score and its speedup over the serial path,
+//! and the trie's nodes visited and speedup over the sweep. Timings flow
 //! through the shared `hiperbot-obs` [`MetricsRegistry`] — one histogram
 //! per `(path, pool)` — so this bench exercises the same quantile pipeline
 //! as `--metrics-summary` and the trace replayer. Run with
@@ -12,11 +14,11 @@
 
 use hiperbot_apps::{hypre, kripke, Dataset, Scale};
 use hiperbot_bench::{host_meta, pin_threads, write_bench_json, HostMeta};
-use hiperbot_core::selection::rank_encoded;
+use hiperbot_core::selection::{rank_encoded, rank_trie};
 use hiperbot_core::surrogate::{SurrogateOptions, TpeSurrogate};
 use hiperbot_core::ObservationHistory;
 use hiperbot_obs::MetricsRegistry;
-use hiperbot_space::pool::{PoolEncoding, PoolMask};
+use hiperbot_space::pool::{PoolEncoding, PoolMask, PoolTrie};
 use hiperbot_space::sampling::sample_distinct;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -34,6 +36,9 @@ struct PoolResult {
     batch_ns_per_iter: f64,
     batch_ns_per_candidate_score: f64,
     speedup: f64,
+    trie_ns_per_iter: f64,
+    trie_nodes_visited: u64,
+    trie_speedup_over_batch: f64,
 }
 
 #[derive(Debug, serde::Serialize)]
@@ -83,6 +88,8 @@ fn measure(registry: &MetricsRegistry, name: &str, dataset: &Dataset) -> PoolRes
             seen.set(i);
         }
     }
+    let trie = PoolTrie::new(encoding.clone());
+    let counts = trie.unseen_counts(&seen);
 
     // Both paths must agree on the winner before either is timed.
     let table = surrogate.score_table();
@@ -104,6 +111,11 @@ fn measure(registry: &MetricsRegistry, name: &str, dataset: &Dataset) -> PoolRes
         best_i
     };
     assert_eq!(batch_pick, serial_pick, "paths disagree on {name}");
+    let trie_rank = rank_trie(&tables, &trie, &counts, &seen);
+    assert_eq!(
+        trie_rank.pos, batch_pick,
+        "trie and sweep disagree on {name}"
+    );
 
     // Calibrate inner repeats so each timed run lasts a few milliseconds.
     let inner_serial = (50_000 / pool.len()).max(1);
@@ -132,6 +144,11 @@ fn measure(registry: &MetricsRegistry, name: &str, dataset: &Dataset) -> PoolRes
         let tables = table.discrete_tables().expect("discrete space");
         std::hint::black_box(rank_encoded(&tables, &encoding, &seen));
     });
+    let trie_ns = median_ns(registry, &format!("trie.{name}"), inner_batch, || {
+        let table = surrogate.score_table();
+        let tables = table.discrete_tables().expect("discrete space");
+        std::hint::black_box(rank_trie(&tables, &trie, &counts, &seen));
+    });
 
     let r = PoolResult {
         dataset: name.to_string(),
@@ -141,11 +158,16 @@ fn measure(registry: &MetricsRegistry, name: &str, dataset: &Dataset) -> PoolRes
         batch_ns_per_iter: batch_ns,
         batch_ns_per_candidate_score: batch_ns / pool.len() as f64,
         speedup: serial_ns / batch_ns,
+        trie_ns_per_iter: trie_ns,
+        trie_nodes_visited: trie_rank.visited,
+        trie_speedup_over_batch: batch_ns / trie_ns,
     };
     println!(
-        "{:>14} | pool {:>6} | serial {:>12.0} ns | batch {:>10.0} ns | {:>6.1}x | {:>6.2} ns/candidate",
+        "{:>14} | pool {:>6} | serial {:>12.0} ns | batch {:>10.0} ns | {:>6.1}x | {:>6.2} ns/candidate \
+         | trie {:>8.0} ns | {:>6} nodes | {:>5.1}x over batch",
         r.dataset, r.pool_size, r.serial_ns_per_iter, r.batch_ns_per_iter, r.speedup,
-        r.batch_ns_per_candidate_score
+        r.batch_ns_per_candidate_score, r.trie_ns_per_iter, r.trie_nodes_visited,
+        r.trie_speedup_over_batch
     );
     r
 }
@@ -169,7 +191,7 @@ fn main() {
     ];
     let report = Report {
         host: host_meta(),
-        bench: "ranking hot path: serial log_ei vs batch score-table argmax".into(),
+        bench: "ranking hot path: serial log_ei vs batch score-table sweep vs pool-trie branch and bound".into(),
         trials: TRIALS,
         pools,
     };

@@ -12,19 +12,27 @@
 //!   focuses on promising regions while the randomness keeps exploring.
 //!
 //! Ranking is the per-iteration hot path (pools reach 17 815 configs for
-//! Kripke energy, swept once per iteration per repetition), so it runs on
-//! the batch-scoring engine: a [`ScoreTable`](crate::surrogate::ScoreTable) of precomputed per-value
-//! scores, a [`PoolEncoding`] flattening the pool into a contiguous index
-//! buffer, and a [`PoolMask`] marking seen pool positions — reduced by a
-//! rayon-chunked argmax. See [`rank_encoded`] for the determinism contract.
+//! Kripke energy, ranked once per iteration per repetition), so it runs on
+//! the batch-scoring engine: a [`ScoreTable`](crate::surrogate::ScoreTable)
+//! of precomputed per-value scores and a [`PoolMask`] marking seen pool
+//! positions. The argmax still ranks every unseen configuration, but the
+//! tuner takes it with [`rank_trie`]: an exact branch-and-bound search over
+//! a [`PoolTrie`] of the pool that skips every prefix whose score bound
+//! cannot beat the incumbent. [`rank_encoded`], the rayon-chunked sweep of
+//! a contiguous [`PoolEncoding`], is its fallback for non-finite tables and
+//! the reference it must match pick for pick (see [`rank_encoded`] for the
+//! tie-break and determinism contract).
 
 use crate::history::ObservationHistory;
 use crate::surrogate::{CandidateMatrix, TpeSurrogate};
-use hiperbot_space::pool::{IndexBuffer, PoolEncoding, PoolIndex, PoolMask};
+use hiperbot_space::pool::{
+    IndexBuffer, PoolEncoding, PoolIndex, PoolMask, PoolTrie, UnseenCounts,
+};
 use hiperbot_space::{Configuration, ParameterSpace};
 use rayon::prelude::*;
 use rustc_hash::FxHashSet;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Which selection regime the tuner uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -74,8 +82,14 @@ fn best_in_chunk<T: PoolIndex>(
     best
 }
 
-/// The batch-scoring argmax: returns the pool position of the best unseen
-/// configuration, or `None` when every position is seen.
+/// The batch-scoring sweep: scores every unseen row of the pool and
+/// returns the pool position of the best one, or `None` when every
+/// position is seen.
+///
+/// The tuner ranks with [`rank_trie`], which returns exactly this answer
+/// while scoring far fewer rows; the sweep is its fallback when a table
+/// holds a non-finite entry, and the reference that the benchmark's replay
+/// and the parity suites re-pick against.
 ///
 /// **Tie-breaking contract:** among equal-scoring candidates the **lowest
 /// pool index** wins. **Determinism contract:** the result is bit-identical
@@ -115,6 +129,162 @@ pub fn rank_encoded(tables: &[&[f64]], encoding: &PoolEncoding, seen: &PoolMask)
         }
     }
     best.map(|(_, c)| c)
+}
+
+/// The outcome of one [`rank_trie`] search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrieRank {
+    /// The pool position of the best unseen configuration (`None` when
+    /// every position is seen): always [`rank_encoded`]'s answer.
+    pub pos: Option<usize>,
+    /// Trie nodes the search scored (inner nodes and leaves); the pool
+    /// size when the sweep fallback ran.
+    pub visited: u64,
+}
+
+/// The Ranking argmax by depth-first branch and bound over the pool trie.
+///
+/// Returns exactly what [`rank_encoded`] returns on the same tables and
+/// mask — the best unseen score, ties to the lowest pool position — while
+/// scoring only the prefixes that could still hold the winner:
+///
+/// - A node's *prefix score* folds `0.0 + t_0[v_0] + … + t_d[v_d]` left to
+///   right, as the sweep does, so a leaf's score has the sweep's bits.
+/// - Its *bound* continues that fold with each remaining parameter's
+///   column maximum, in parameter order. Round-to-nearest addition is
+///   monotone, so the bound is ≥ every leaf score below the node with no
+///   margin. (A precomputed suffix sum would reassociate the fold and is
+///   not a valid bound.)
+/// - A node is skipped when no unseen position lies below it, when its
+///   bound is below the incumbent's score, or when the bound ties it and
+///   the node's lowest position is not below the incumbent's.
+/// - Inner children are visited in descending bound (ties by ascending
+///   index); the last level is an ascending scan. Since that order is not
+///   pool order, a leaf replaces the incumbent only if it scores higher,
+///   or equal at a lower position.
+///
+/// `counts` must be `trie`'s unseen counts for `seen`. If any table entry
+/// is non-finite the search falls back to [`rank_encoded`]: a NaN score's
+/// outcome there depends on visit order, which only the sweep reproduces.
+///
+/// # Panics
+/// Panics if `tables`' arity differs from the trie's, or if the mask
+/// length differs from the pool length.
+pub fn rank_trie(
+    tables: &[&[f64]],
+    trie: &PoolTrie,
+    counts: &UnseenCounts,
+    seen: &PoolMask,
+) -> TrieRank {
+    let n = trie.n_configs();
+    assert_eq!(seen.len(), n, "mask/pool length mismatch");
+    if n == 0 {
+        return TrieRank {
+            pos: None,
+            visited: 0,
+        };
+    }
+    assert_eq!(tables.len(), trie.n_params(), "arity mismatch");
+    if tables.iter().any(|t| t.iter().any(|s| !s.is_finite())) {
+        return TrieRank {
+            pos: rank_encoded(tables, trie.encoding(), seen),
+            visited: n as u64,
+        };
+    }
+    let col_max = tables
+        .iter()
+        .map(|t| t.iter().copied().fold(f64::NEG_INFINITY, f64::max))
+        .collect();
+    let last = trie.n_params() - 1;
+    let mut scratch = vec![(0.0, 0.0, 0u32); (0..last).map(|d| trie.max_fanout(d)).sum()];
+    let mut search = TrieSearch {
+        tables,
+        col_max,
+        trie,
+        counts,
+        seen,
+        best: None,
+        visited: 0,
+    };
+    search.descend(0, 0..trie.values(0).len(), 0.0, &mut scratch);
+    TrieRank {
+        pos: search.best.map(|(_, pos)| pos),
+        visited: search.visited,
+    }
+}
+
+/// The state of one [`rank_trie`] search.
+struct TrieSearch<'a> {
+    tables: &'a [&'a [f64]],
+    /// Each parameter's largest table entry.
+    col_max: Vec<f64>,
+    trie: &'a PoolTrie,
+    counts: &'a UnseenCounts,
+    seen: &'a PoolMask,
+    /// The incumbent `(score, pool position)`.
+    best: Option<(f64, usize)>,
+    visited: u64,
+}
+
+impl TrieSearch<'_> {
+    /// Whether a subtree whose leaf scores are at most `bound` and whose
+    /// positions start at `first` may hold a leaf that beats the incumbent.
+    fn may_beat(&self, bound: f64, first: usize) -> bool {
+        match self.best {
+            None => true,
+            Some((score, pos)) => bound > score || (bound == score && first < pos),
+        }
+    }
+
+    /// Searches the nodes `nodes` of level `depth`, siblings under a
+    /// parent whose prefix score is `prefix`. `scratch` holds at least the
+    /// fan-out of every inner level from `depth` down.
+    fn descend(
+        &mut self,
+        depth: usize,
+        nodes: Range<usize>,
+        prefix: f64,
+        scratch: &mut [(f64, f64, u32)],
+    ) {
+        let table = self.tables[depth];
+        let values = self.trie.values(depth);
+        if depth + 1 == self.trie.n_params() {
+            for pos in nodes {
+                if self.seen.get(pos) {
+                    continue;
+                }
+                self.visited += 1;
+                let score = prefix + table[values[pos] as usize];
+                match self.best {
+                    Some((s, p)) if s > score || (s == score && p < pos) => {}
+                    _ => self.best = Some((score, pos)),
+                }
+            }
+            return;
+        }
+        let (children, rest) = scratch.split_at_mut(self.trie.max_fanout(depth));
+        let mut len = 0;
+        for node in nodes {
+            if self.counts.get(depth, node) == 0 {
+                continue;
+            }
+            self.visited += 1;
+            let score = prefix + table[values[node] as usize];
+            let bound = self.col_max[depth + 1..]
+                .iter()
+                .fold(score, |acc, &m| acc + m);
+            children[len] = (bound, score, node as u32);
+            len += 1;
+        }
+        let children = &mut children[..len];
+        children.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(&b.2)));
+        for &(bound, score, node) in children.iter() {
+            let node = node as usize;
+            if self.may_beat(bound, self.trie.first_position(depth, node)) {
+                self.descend(depth + 1, self.trie.children(depth, node), score, rest);
+            }
+        }
+    }
 }
 
 /// Extra redraw rounds the vectorized Proposal selector spends hunting for

@@ -14,7 +14,7 @@ use crate::history::ObservationHistory;
 use crate::incremental::{ChurnStats, IncrementalSurrogate};
 use crate::outcome::EvalOutcome;
 use crate::selection::{
-    rank_encoded, select_by_proposal_vectorized, ProposalScratch, SelectionStrategy,
+    rank_trie, select_by_proposal_vectorized, ProposalScratch, SelectionStrategy,
     PROPOSAL_REDRAW_ROUNDS,
 };
 use crate::surrogate::{FitScratch, SurrogateMode, SurrogateOptions, TpeSurrogate};
@@ -23,12 +23,12 @@ use hiperbot_obs::{
     counters, space_fingerprint, Event, MetricsRegistry, NoopRecorder, Recorder, RunHeader,
     SpanTimer,
 };
-use hiperbot_space::pool::{PoolEncoding, PoolMask};
+use hiperbot_space::pool::{PoolEncoding, PoolMask, PoolTrie, UnseenCounts};
 use hiperbot_space::sampling::{latin_hypercube, sample_distinct, sample_uniform};
 use hiperbot_space::{Configuration, ParameterSpace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -184,16 +184,17 @@ pub struct BestResult {
 /// per tuning run.
 struct RankingPool {
     configs: Vec<Configuration>,
-    /// Contiguous config-major index buffer the argmax sweeps.
-    encoding: PoolEncoding,
-    /// Pool position per configuration (used to fold history into `seen`).
-    position: FxHashMap<Configuration, u32>,
+    /// Prefix trie over the pool (owning its config-major encoding): the
+    /// argmax searches it, and history entries find their positions in it.
+    trie: PoolTrie,
     /// Seen bitset over pool positions, maintained incrementally: each
-    /// history entry is hashed into it exactly once, instead of the old
+    /// history entry is looked up into it exactly once, instead of a
     /// per-candidate `history.contains` hash inside the ranking loop.
     /// Permanently-failed configurations are folded in too, so the argmax
     /// never re-suggests a config that will only fail again.
     seen: PoolMask,
+    /// Unseen positions below each trie node, kept in step with `seen`.
+    unseen: UnseenCounts,
     /// Observation prefix already folded into `seen`.
     synced_ok: usize,
     /// Failure prefix already folded into `seen`.
@@ -205,34 +206,45 @@ impl RankingPool {
         let configs = space.enumerate();
         let encoding = PoolEncoding::encode(&configs)
             .expect("Ranking pools are fully discrete and uniform-arity");
-        let position = configs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.clone(), i as u32))
-            .collect();
+        let trie = PoolTrie::new(encoding);
         let seen = PoolMask::new(configs.len());
+        let unseen = trie.unseen_counts(&seen);
         Self {
             configs,
-            encoding,
-            position,
+            trie,
             seen,
+            unseen,
             synced_ok: 0,
             synced_failed: 0,
         }
+    }
+
+    /// Marks pool position `pos` seen, unless it already is.
+    fn mark(&mut self, pos: usize) {
+        if !self.seen.get(pos) {
+            self.seen.set(pos);
+            self.trie.mark(&mut self.unseen, pos);
+        }
+    }
+
+    /// Undoes [`mark`](Self::mark) for a position it marked.
+    fn unmark(&mut self, pos: usize) {
+        self.seen.clear(pos);
+        self.trie.unmark(&mut self.unseen, pos);
     }
 
     /// Folds unsynced history entries — observations and permanent
     /// failures — into the seen bitset.
     fn sync(&mut self, history: &ObservationHistory) {
         for cfg in &history.configs()[self.synced_ok..] {
-            if let Some(&i) = self.position.get(cfg) {
-                self.seen.set(i as usize);
+            if let Some(i) = self.trie.position(cfg) {
+                self.mark(i);
             }
         }
         self.synced_ok = history.len();
         for f in &history.failures()[self.synced_failed..] {
-            if let Some(&i) = self.position.get(&f.config) {
-                self.seen.set(i as usize);
+            if let Some(i) = self.trie.position(&f.config) {
+                self.mark(i);
             }
         }
         self.synced_failed = history.n_failures();
@@ -371,7 +383,8 @@ impl Tuner {
     }
 
     /// Attaches a metrics registry (builder style): the incremental engine
-    /// publishes its churn counters and delta-update span timings there.
+    /// publishes its churn counters and delta-update span timings there,
+    /// and the Ranking argmax its visited-node count.
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -899,9 +912,11 @@ impl Tuner {
     /// returns); real outcomes are merged later by
     /// [`step_batch_fallible`](Self::step_batch_fallible).
     ///
-    /// Each argmax sweeps the cached [`PoolEncoding`] against an
-    /// incrementally updated [`PoolMask`], so the `k` sweeps stay
-    /// vectorized; each fantasy only rescores the score columns it churns.
+    /// Each argmax is a branch-and-bound search of the cached pool trie
+    /// ([`rank_trie`]) against an incrementally updated [`PoolMask`]; the
+    /// batch's picks are marked seen on the live mask for the later picks
+    /// and unmarked before returning. Each fantasy only rescores the score
+    /// columns it churns.
     ///
     /// With `k == 1` this is one fit and one argmax with the lowest pool
     /// index as tie-break — the serial tuner's decision, since serial
@@ -1029,8 +1044,9 @@ impl Tuner {
         let traced = self.recorder.enabled();
         let base_iteration = self.history.trials() as u64;
         let span = SpanTimer::start(self.metrics.is_some());
-        self.pool(); // build + sync once; the loop borrows it immutably
-        let mut seen = self.pool.as_ref().expect("just built").seen.clone();
+        self.pool(); // build + sync once
+        let mut visited = 0u64;
+        let mut marked: Vec<usize> = Vec::with_capacity(k);
         #[cfg(debug_assertions)]
         let mut dbg_configs: Vec<Configuration> = Vec::new();
         #[cfg(debug_assertions)]
@@ -1072,12 +1088,20 @@ impl Tuner {
                 });
             }
             let select_timer = SpanTimer::start(traced);
-            let pool = self.pool.as_ref().expect("just built");
+            let pool = self.pool.as_mut().expect("just built");
             let engine = self.engine.as_ref().expect("synced on first pick");
             let tables = engine
                 .tables()
                 .expect("Ranking requires a fully discrete space");
-            let Some(pos) = rank_encoded(&tables, &pool.encoding, &seen) else {
+            let ranked = rank_trie(&tables, &pool.trie, &pool.unseen, &pool.seen);
+            visited += ranked.visited;
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                ranked.pos,
+                crate::selection::rank_encoded(&tables, pool.trie.encoding(), &pool.seen),
+                "the trie argmax must re-pick the sweep's configuration"
+            );
+            let Some(pos) = ranked.pos else {
                 break; // pool exhausted mid-batch
             };
             let cfg = pool.configs[pos].clone();
@@ -1089,11 +1113,19 @@ impl Tuner {
                     elapsed_ns,
                 });
             }
-            seen.set(pos);
+            pool.mark(pos);
+            marked.push(pos);
             picks.push(cfg);
         }
-        // Evict the fantasies: the engine must mirror the real history
-        // before outcomes are merged back.
+        // Unmark the picks and evict the fantasies: the pool and the engine
+        // must mirror the real history before outcomes are merged back.
+        let pool = self.pool.as_mut().expect("just built");
+        for &pos in &marked {
+            pool.unmark(pos);
+        }
+        if let Some(metrics) = &self.metrics {
+            metrics.add(counters::TUNER_SELECT_VISITED, visited);
+        }
         let engine = self.engine.as_mut().expect("synced on first pick");
         for _ in 0..fantasies {
             engine.pop_observation();
@@ -1582,6 +1614,19 @@ mod tests {
         let x = cfg.value(0).index() as f64;
         let y = cfg.value(1).index() as f64;
         (x - 7.0).powi(2) + (y - 3.0).powi(2) + 1.0
+    }
+
+    #[test]
+    fn select_visited_counts_the_trie_nodes_scored() {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let mut tuner =
+            Tuner::new(space(), TunerOptions::default().with_seed(3)).with_metrics(metrics.clone());
+        tuner.run(40, objective);
+        let visited = metrics.counter(counters::TUNER_SELECT_VISITED);
+        // 20 model decisions over a 100-config pool: every decision scores
+        // at least one leaf, and the branch and bound prunes.
+        assert!(visited >= 20, "visited {visited}");
+        assert!(visited < 20 * 100, "visited {visited}");
     }
 
     #[test]

@@ -18,18 +18,30 @@ pub fn select_by_ranking_serial(
     pool: &[Configuration],
     history: &ObservationHistory,
 ) -> Option<Configuration> {
-    let mut best: Option<(f64, &Configuration)> = None;
-    for cfg in pool {
-        if history.contains(cfg) {
+    rank_serial_by(pool, |cfg| table.score(cfg), |_, cfg| history.contains(cfg))
+        .map(|i| pool[i].clone())
+}
+
+/// The scan behind [`select_by_ranking_serial`] for any scorer: the pool
+/// position of the first strict maximum of `score` among the positions
+/// `seen` rejects, in pool order.
+pub fn rank_serial_by(
+    pool: &[Configuration],
+    score: impl Fn(&Configuration) -> f64,
+    seen: impl Fn(usize, &Configuration) -> bool,
+) -> Option<usize> {
+    let mut best: Option<(f64, usize)> = None;
+    for (i, cfg) in pool.iter().enumerate() {
+        if seen(i, cfg) {
             continue;
         }
-        let score = table.score(cfg);
+        let score = score(cfg);
         match best {
             Some((s, _)) if s >= score => {}
-            _ => best = Some((score, cfg)),
+            _ => best = Some((score, i)),
         }
     }
-    best.map(|(_, c)| c.clone())
+    best.map(|(_, i)| i)
 }
 
 /// Proposal by the scalar loop: draw `candidates` feasible configurations

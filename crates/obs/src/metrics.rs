@@ -15,10 +15,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Canonical [`MetricsRegistry`] key names published by the incremental
-/// surrogate engine, so producers (the tuner) and consumers (summaries,
-/// benches, tests) agree on spelling. Counters count delta-update work
-/// items; `SURROGATE_DELTA_UPDATE` keys the span histogram over engine
-/// maintenance (history sync and batch fantasy push/pop).
+/// surrogate engine and the Ranking argmax, so producers (the tuner) and
+/// consumers (summaries, benches, tests) agree on spelling. Counters count
+/// delta-update work items and argmax node visits; `SURROGATE_DELTA_UPDATE`
+/// keys the span histogram over engine maintenance (history sync and batch
+/// fantasy push/pop).
 pub mod counters {
     /// Observations absorbed by O(churn) delta insertion.
     pub const SURROGATE_DELTA_INSERTS: &str = "surrogate.delta.inserts";
@@ -32,6 +33,9 @@ pub mod counters {
     pub const SURROGATE_DELTA_COLUMNS: &str = "surrogate.delta.columns_rescored";
     /// Span histogram: nanoseconds spent in engine maintenance.
     pub const SURROGATE_DELTA_UPDATE: &str = "surrogate.delta.update";
+    /// Pool-trie nodes the Ranking argmax scored (the pool size for each
+    /// decision that fell back to the full sweep).
+    pub const TUNER_SELECT_VISITED: &str = "tuner.select.visited";
 }
 
 /// Sub-buckets per power-of-two octave (2 bits of mantissa).

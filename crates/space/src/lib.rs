@@ -18,8 +18,9 @@
 //!   replacement, used for initial observation histories.
 //! - [`encoding`] — one-hot and normalized numeric encodings consumed by
 //!   the PerfNet neural network and the Gaussian-process comparator.
-//! - [`pool`] — contiguous config-major pool encodings and positional
-//!   bitmasks, the data layout behind the batch-scoring Ranking loop.
+//! - [`pool`] — contiguous config-major pool encodings, positional
+//!   bitmasks and the pool prefix trie, the data layout behind the Ranking
+//!   argmax.
 
 pub mod config;
 pub mod encoding;
@@ -31,5 +32,5 @@ pub mod space;
 pub use config::{Configuration, ParamValue};
 pub use encoding::{Encoder, EncodingKind};
 pub use param::{DiscreteValue, Domain, ParamDef};
-pub use pool::{IndexBuffer, PoolEncoding, PoolIndex, PoolMask};
+pub use pool::{IndexBuffer, PoolEncoding, PoolIndex, PoolMask, PoolTrie, UnseenCounts};
 pub use space::{ParameterSpace, SpaceBuilder, SpaceError};
